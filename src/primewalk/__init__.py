@@ -10,14 +10,7 @@ from .polar import (
     delta_series,
     to_polar,
 )
-from .primes import (
-    PrimeDigitEvent,
-    base_primes,
-    count_walk_primes,
-    iter_events,
-    sieve_segment,
-    stream_events,
-)
+from .primes import base_primes, count_walk_primes, iter_walk_prime_arrays
 from .runs import RunHistogram, run_histogram, short_run_fraction
 from .walk import (
     RULES,
@@ -26,13 +19,11 @@ from .walk import (
     A3,
     Direction,
     RandomSource,
+    WalkObserver,
     WalkRule,
     WalkState,
-    pearson_direction,
-    rule_direction,
     run_random_walk,
     run_walk,
-    step,
 )
 
 __all__ = [
@@ -44,11 +35,11 @@ __all__ = [
     "FitResult",
     "GridObserver",
     "PolarObserver",
-    "PrimeDigitEvent",
     "RULES",
     "RandomSource",
     "RunHistogram",
     "VisitMap",
+    "WalkObserver",
     "WalkRule",
     "WalkState",
     "base_primes",
@@ -59,19 +50,14 @@ __all__ = [
     "delta_phi_histogram",
     "delta_series",
     "fit_area_growth",
-    "iter_events",
+    "iter_walk_prime_arrays",
     "leading_digit",
     "linear_fit",
-    "pearson_direction",
     "recurrence_report",
-    "rule_direction",
     "run_histogram",
     "run_random_walk",
     "run_walk",
     "short_run_fraction",
-    "sieve_segment",
-    "step",
-    "stream_events",
     "to_polar",
 ]
 

@@ -124,19 +124,18 @@ def _fit_series(series: grid.AreaSeries):
 def write_outputs(cfg: RunConfig, analyzers: Analyzers, summary, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = []
-    target_n = summary.last_n if cfg.rule != "rw" else summary.steps_taken
     lines.append(("rule", cfg.rule))
     if cfg.rule == "rw":
         lines.append(("seed", cfg.seed))
-    lines.append(("n", target_n))
+    lines.append(("n", summary.last_n))
     lines.append(("n_p", summary.steps_taken))
-    lines.append(("final_x", summary.final_x))
-    lines.append(("final_y", summary.final_y))
+    lines.append(("final_x", summary.x))
+    lines.append(("final_y", summary.y))
 
     g = analyzers.grid_obs
     if g is not None:
         if "area" in cfg.analyses:
-            final_row = (target_n, g.steps, g.vmap.area)
+            final_row = (summary.last_n, g.steps, g.vmap.area)
             g.series.write_csv(out_dir / "area_series.csv", final_row=final_row)
             lines.append(("area", g.vmap.area))
             fit, window = _fit_series(g.series)
@@ -202,8 +201,8 @@ def save_checkpoint(cfg: RunConfig, analyzers: Analyzers, summary, path):
         },
         "walk": {
             "n": summary.last_n,
-            "x": summary.final_x,
-            "y": summary.final_y,
+            "x": summary.x,
+            "y": summary.y,
             "steps": summary.steps_taken,
         },
     }

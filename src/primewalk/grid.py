@@ -65,12 +65,6 @@ class VisitMap:
             return int(self._counts[i])
         return 0
 
-    def record_step(self, x: int, y: int) -> None:
-        self.record_keys(np.array([pack_xy(x, y)], dtype=np.uint64))
-
-    def record_positions(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        self.record_keys(pack_arrays(xs, ys))
-
     def record_keys(self, keys: np.ndarray) -> None:
         """Merge a batch of packed arrival keys into the map."""
         if len(keys) == 0:

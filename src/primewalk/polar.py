@@ -37,13 +37,6 @@ def wrap_angle(d: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class DeltaSample:
-    step_index: int
-    d_r: float
-    d_phi: float
-
-
-@dataclass
 class PolarDeltas:
     """Column-oriented (step, dR, dphi) samples plus the skip tally."""
 
@@ -54,10 +47,6 @@ class PolarDeltas:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def samples(self):
-        for s, dr, dp in zip(self.steps.tolist(), self.d_r.tolist(), self.d_phi.tolist()):
-            yield DeltaSample(step_index=s, d_r=dr, d_phi=dp)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

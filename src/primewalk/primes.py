@@ -1,4 +1,4 @@
-"""Segmented prime sieve and the terminal-digit event stream.
+"""Segmented prime sieve producing the walk's prime stream.
 
 Primes are produced in strictly increasing order with bounded memory.  The
 walk consumes only primes whose last decimal digit is 1, 3, 7 or 9, i.e.
@@ -9,8 +9,8 @@ downstream consumer sees the same stream.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -19,31 +19,6 @@ import numpy as np
 DEFAULT_SEGMENT_FLAGS = 1 << 22
 
 WALK_DIGITS = (1, 3, 7, 9)
-
-
-class SieveContractError(ValueError):
-    """Raised when a sieve operation is called with an insufficient base."""
-
-
-@dataclass(frozen=True)
-class PrimeDigitEvent:
-    """One prime together with its terminal decimal digit."""
-
-    prime: int
-    digit: int
-
-
-@dataclass
-class SieveSegment:
-    """Primality flags for the half-open interval [lo, hi)."""
-
-    lo: int
-    hi: int
-    flags: np.ndarray
-
-    def primes(self) -> np.ndarray:
-        return (np.flatnonzero(self.flags) + self.lo).astype(np.int64)
-
 
 def base_primes(limit_sqrt: int) -> np.ndarray:
     """All primes <= limit_sqrt, ascending.  Empty below 2."""
@@ -57,11 +32,11 @@ def base_primes(limit_sqrt: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def _odd_flags(lo: int, hi: int, base: np.ndarray) -> tuple[int, np.ndarray]:
-    """Primality flags for the odd numbers >= 3 in [lo, hi).
+def _walk_flags(lo: int, hi: int, base: np.ndarray) -> tuple[int, np.ndarray]:
+    """Walk-prime flags for the odd numbers >= 3 in [lo, hi).
 
-    Returns (first_odd, flags) where flags[i] corresponds to first_odd + 2*i.
-    `base` must contain every odd prime <= floor(sqrt(hi - 1)).
+    Returns (first_odd, flags) where flags[i] corresponds to first_odd + 2*i;
+    5 is cleared.  `base` must contain every odd prime <= floor(sqrt(hi - 1)).
     """
     first_odd = max(lo, 3) | 1
     count = (hi - first_odd + 1) // 2
@@ -80,54 +55,50 @@ def _odd_flags(lo: int, hi: int, base: np.ndarray) -> tuple[int, np.ndarray]:
         if start >= hi:
             continue
         flags[(start - first_odd) // 2 :: p] = False
+    if lo <= 5 < hi:
+        flags[(5 - first_odd) // 2] = False
     return first_odd, flags
-
-
-def _check_base(hi: int, base: np.ndarray) -> None:
-    need = math.isqrt(hi - 1)
-    if need < 2:
-        return
-    required = base_primes(need)
-    if len(required) == 0:
-        return
-    have = set(int(p) for p in base)
-    missing = [int(p) for p in required if int(p) not in have]
-    if missing:
-        raise SieveContractError(
-            f"base primes missing {missing} (need all primes <= {need})"
-        )
-
-
-def sieve_segment(lo: int, hi: int, base) -> SieveSegment:
-    """Sieve the half-open interval [lo, hi) against the given base primes."""
-    if lo < 2:
-        raise ValueError(f"lo must be >= 2, got {lo}")
-    if hi <= lo:
-        raise ValueError(f"hi must exceed lo, got [{lo}, {hi})")
-    base = np.asarray(base, dtype=np.int64)
-    _check_base(hi, base)
-    flags = np.zeros(hi - lo, dtype=bool)
-    if lo <= 2 < hi:
-        flags[2 - lo] = True
-    first_odd, odd = _odd_flags(lo, hi, base)
-    if len(odd):
-        flags[first_odd - lo :: 2] = odd
-    return SieveSegment(lo=lo, hi=hi, flags=flags)
-
-
-def _segment_bounds(start: int, limit: int, span: int) -> Iterator[tuple[int, int]]:
-    lo = max(start, 2)
-    while lo <= limit:
-        yield lo, min(lo + span, limit + 1)
-        lo += span
 
 
 def _walk_primes_in(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
     """Walk primes (last digit 1/3/7/9) in [lo, hi), ascending."""
-    first_odd, flags = _odd_flags(lo, hi, base)
-    if lo <= 5 < hi:
-        flags[(5 - first_odd) // 2] = False
+    first_odd, flags = _walk_flags(lo, hi, base)
     return (np.flatnonzero(flags) * 2 + first_odd).astype(np.int64)
+
+
+def _count_walk_primes_in(lo: int, hi: int, base: np.ndarray) -> int:
+    return int(np.count_nonzero(_walk_flags(lo, hi, base)[1]))
+
+
+def _per_segment(
+    fn: Callable[[int, int, np.ndarray], object],
+    limit: int,
+    start: int,
+    segment_flags: int,
+    threads: int,
+) -> Iterator:
+    """fn(lo, hi, base) for each segment [lo, hi) of [start, limit], in order.
+
+    With threads > 1 a pool sieves ahead, but at most threads + 1 segments
+    are in flight, so finished results never pile up behind a slow consumer.
+    """
+    if limit < 2 or limit < start:
+        return
+    base = base_primes(math.isqrt(limit))
+    span = 2 * segment_flags
+    los = range(max(start, 2), limit + 1, span)
+    if threads <= 1:
+        for lo in los:
+            yield fn(lo, min(lo + span, limit + 1), base)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        window = deque()
+        for lo in los:
+            window.append(pool.submit(fn, lo, min(lo + span, limit + 1), base))
+            if len(window) > threads:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
 
 
 def iter_walk_prime_arrays(
@@ -143,44 +114,9 @@ def iter_walk_prime_arrays(
     sequence; segments are handed off in order even when sieved ahead by a
     worker pool.
     """
-    if limit < 2 or limit < start:
-        return
-    base = base_primes(math.isqrt(limit))
-    span = 2 * segment_flags
-    bounds = _segment_bounds(start, limit, span)
-    if threads <= 1:
-        for lo, hi in bounds:
-            arr = _walk_primes_in(lo, hi, base)
-            if len(arr):
-                yield arr
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for arr in pool.map(lambda b: _walk_primes_in(b[0], b[1], base), bounds):
-            if len(arr):
-                yield arr
-
-
-def iter_events(
-    limit: int, *, segment_flags: int = DEFAULT_SEGMENT_FLAGS
-) -> Iterator[PrimeDigitEvent]:
-    """Pull-iterator over PrimeDigitEvents for all walk primes <= limit."""
-    for arr in iter_walk_prime_arrays(limit, segment_flags=segment_flags):
-        for p in arr.tolist():
-            yield PrimeDigitEvent(prime=p, digit=p % 10)
-
-
-def stream_events(
-    limit: int,
-    consumer: Callable[[PrimeDigitEvent], None],
-    *,
-    segment_flags: int = DEFAULT_SEGMENT_FLAGS,
-) -> int:
-    """Push every event <= limit into `consumer`; returns the event count."""
-    n = 0
-    for event in iter_events(limit, segment_flags=segment_flags):
-        consumer(event)
-        n += 1
-    return n
+    for arr in _per_segment(_walk_primes_in, limit, start, segment_flags, threads):
+        if len(arr):
+            yield arr
 
 
 def count_walk_primes(
@@ -191,21 +127,6 @@ def count_walk_primes(
     threads: int = 1,
 ) -> int:
     """Number of primes in [start, limit] with terminal digit in {1, 3, 7, 9}."""
-    if limit < 3 or limit < start:
-        return 0
-    base = base_primes(math.isqrt(limit))
-    span = 2 * segment_flags
-
-    def count_one(bound: tuple[int, int]) -> int:
-        lo, hi = bound
-        first_odd, flags = _odd_flags(lo, hi, base)
-        n = int(flags.sum())
-        if lo <= 5 < hi and len(flags) and flags[(5 - first_odd) // 2]:
-            n -= 1
-        return n
-
-    bounds = _segment_bounds(start, limit, span)
-    if threads <= 1:
-        return sum(count_one(b) for b in bounds)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(count_one, bounds))
+    return sum(
+        _per_segment(_count_walk_primes_in, limit, start, segment_flags, threads)
+    )

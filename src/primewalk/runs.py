@@ -8,18 +8,11 @@ on finalize so the runs partition the whole event sequence.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from .primes import DEFAULT_SEGMENT_FLAGS, WALK_DIGITS, iter_walk_prime_arrays
 from .walk import WalkObserver
-
-
-@dataclass
-class RunAccumulator:
-    current_digit: int | None = None
-    current_length: int = 0
 
 
 class RunHistogram:
@@ -77,36 +70,17 @@ class RunHistogram:
         return h
 
 
-def feed(acc: RunAccumulator, hist: RunHistogram, digit: int) -> None:
-    """Consume one event; commits the previous run when the digit changes."""
-    if digit not in WALK_DIGITS:
-        raise ValueError(f"digit must be one of {WALK_DIGITS}, got {digit}")
-    if digit == acc.current_digit:
-        acc.current_length += 1
-        return
-    if acc.current_digit is not None:
-        hist.add(acc.current_digit, acc.current_length)
-    acc.current_digit = digit
-    acc.current_length = 1
-
-
-def finalize(acc: RunAccumulator, hist: RunHistogram) -> RunHistogram:
-    """Commit the open run, if any, and clear the accumulator."""
-    if acc.current_digit is not None:
-        hist.add(acc.current_digit, acc.current_length)
-        acc.current_digit = None
-        acc.current_length = 0
-    return hist
-
-
 class RunLengthObserver(WalkObserver):
-    """Streaming, vectorized run-length accumulator over digit batches."""
+    """Streaming, vectorized run-length accumulator over digit batches.
 
-    def __init__(
-        self, acc: RunAccumulator | None = None, hist: RunHistogram | None = None
-    ):
-        self.acc = acc or RunAccumulator()
+    The open run at the end of the input so far is (acc_digit, acc_length);
+    acc_digit is 0 before the first digit.
+    """
+
+    def __init__(self, hist: RunHistogram | None = None, acc_digit=0, acc_length=0):
         self.hist = hist or RunHistogram()
+        self.acc_digit = acc_digit
+        self.acc_length = acc_length
 
     def observe(self, primes, digits, xs, ys, x0, y0):
         if digits is None:
@@ -121,17 +95,17 @@ class RunLengthObserver(WalkObserver):
         run_digits = digits[starts[:-1]]
         run_lengths = np.diff(starts)
         # splice the carried open run with the batch's first run
-        if self.acc.current_digit == int(run_digits[0]):
-            run_lengths[0] += self.acc.current_length
-        elif self.acc.current_digit is not None:
-            self.hist.add(self.acc.current_digit, self.acc.current_length)
-        self.acc.current_digit = int(run_digits[-1])
-        self.acc.current_length = int(run_lengths[-1])
+        if self.acc_digit == int(run_digits[0]):
+            run_lengths[0] += self.acc_length
+        elif self.acc_digit:
+            self.hist.add(self.acc_digit, self.acc_length)
+        self.acc_digit = int(run_digits[-1])
+        self.acc_length = int(run_lengths[-1])
         if len(run_digits) > 1:
-            packed = run_digits[:-1] * 10_000 + run_lengths[:-1]
+            packed = run_lengths[:-1] * 10 + run_digits[:-1]
             uniq, cnt = np.unique(packed, return_counts=True)
             for key, c in zip(uniq.tolist(), cnt.tolist()):
-                self.hist.add(key // 10_000, key % 10_000, int(c))
+                self.hist.add(key % 10, key // 10, int(c))
 
     def finish(self, last_n, steps_taken):
         # deliberately no finalize: the open run must survive a resume;
@@ -142,24 +116,23 @@ class RunLengthObserver(WalkObserver):
         """Snapshot with the open run committed; observer state untouched."""
         snap = RunHistogram()
         snap.counts = dict(self.hist.counts)
-        if self.acc.current_digit is not None:
-            snap.add(self.acc.current_digit, self.acc.current_length)
+        if self.acc_digit:
+            snap.add(self.acc_digit, self.acc_length)
         return snap
 
     def state(self) -> dict:
         s = self.hist.state()
-        s["acc_digit"] = self.acc.current_digit or 0
-        s["acc_length"] = self.acc.current_length
+        s["acc_digit"] = self.acc_digit
+        s["acc_length"] = self.acc_length
         return s
 
     @classmethod
     def from_state(cls, state: dict) -> "RunLengthObserver":
-        hist = RunHistogram.from_state(state)
-        d = int(state["acc_digit"])
-        acc = RunAccumulator(
-            current_digit=d if d else None, current_length=int(state["acc_length"])
+        return cls(
+            RunHistogram.from_state(state),
+            int(state["acc_digit"]),
+            int(state["acc_length"]),
         )
-        return cls(acc=acc, hist=hist)
 
 
 def run_histogram(

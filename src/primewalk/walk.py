@@ -3,17 +3,16 @@
 A walk starts at the origin and takes one unit step per event.  The three
 digit rules map the four terminal digits {1, 3, 7, 9} onto the four lattice
 directions; the random baseline picks directions uniformly from a seeded
-deterministic generator.  Observers are notified in batches (numpy arrays)
-so large runs stay vectorized; a per-step adapter is provided for small
-consumers.
+deterministic generator.  Both kinds share one per-batch step, and
+observers are notified in batches (numpy arrays) so large runs stay
+vectorized.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,36 +74,14 @@ A3 = WalkRule(
 RULES = {"a1": A1, "a2": A2, "a3": A3}
 
 
-def rule_direction(rule: WalkRule, digit: int) -> Direction:
-    return rule.direction(digit)
-
-
 @dataclass(frozen=True)
 class WalkState:
+    """Position after `steps_taken` steps, having scanned every N <= last_n."""
+
     x: int = 0
     y: int = 0
     steps_taken: int = 0
     last_n: int = 0
-
-
-_I64_MAX = (1 << 63) - 1
-
-
-def step(state: WalkState, digit: int, rule: WalkRule) -> WalkState:
-    """Advance one event; returns the new state."""
-    dx, dy = rule.direction(digit).delta
-    x, y = state.x + dx, state.y + dy
-    assert abs(x) <= _I64_MAX and abs(y) <= _I64_MAX
-    return replace(state, x=x, y=y, steps_taken=state.steps_taken + 1)
-
-
-@dataclass
-class WalkSummary:
-    final_x: int
-    final_y: int
-    steps_taken: int
-    last_n: int
-    elapsed: float
 
 
 class WalkObserver:
@@ -130,19 +107,27 @@ class WalkObserver:
         pass
 
 
-class StepObserver(WalkObserver):
-    """Adapter delivering one (prime, digit, old_pos, new_pos) call per step."""
+def _advance(
+    state: WalkState,
+    idx: np.ndarray,
+    dx: np.ndarray,
+    dy: np.ndarray,
+    observers: Sequence[WalkObserver],
+    primes: np.ndarray | None = None,
+) -> WalkState:
+    """Take one batch of steps; step i moves by (dx[idx[i]], dy[idx[i]]).
 
-    def on_step(self, prime, digit, old_pos, new_pos) -> None:
-        raise NotImplementedError
-
-    def observe(self, primes, digits, xs, ys, x0, y0):
-        ps = primes.tolist() if primes is not None else [None] * len(xs)
-        ds = digits.tolist() if digits is not None else [None] * len(xs)
-        old = (x0, y0)
-        for p, d, x, y in zip(ps, ds, xs.tolist(), ys.tolist()):
-            self.on_step(p, d, old, (x, y))
-            old = (x, y)
+    For a prime walk `idx` holds the digits of `primes`; the random baseline
+    passes no primes, and its scanned N is the step count.
+    """
+    xs = state.x + np.cumsum(dx[idx])
+    ys = state.y + np.cumsum(dy[idx])
+    digits = None if primes is None else idx
+    for obs in observers:
+        obs.observe(primes, digits, xs, ys, state.x, state.y)
+    steps = state.steps_taken + len(idx)
+    last_n = steps if primes is None else int(primes[-1])
+    return WalkState(int(xs[-1]), int(ys[-1]), steps, last_n)
 
 
 class WalkSession:
@@ -160,19 +145,10 @@ class WalkSession:
         self._dx, self._dy = rule.delta_tables()
 
     def feed(self, primes: np.ndarray) -> None:
-        if len(primes) == 0:
-            return
-        digits = primes % 10
-        xs = self.state.x + np.cumsum(self._dx[digits])
-        ys = self.state.y + np.cumsum(self._dy[digits])
-        for obs in self.observers:
-            obs.observe(primes, digits, xs, ys, self.state.x, self.state.y)
-        self.state = WalkState(
-            x=int(xs[-1]),
-            y=int(ys[-1]),
-            steps_taken=self.state.steps_taken + len(primes),
-            last_n=int(primes[-1]),
-        )
+        if len(primes):
+            self.state = _advance(
+                self.state, primes % 10, self._dx, self._dy, self.observers, primes
+            )
 
     def finish(self, last_n: int) -> WalkState:
         self.state = replace(self.state, last_n=max(self.state.last_n, last_n))
@@ -190,22 +166,14 @@ def run_walk(
     threads: int = 1,
     start: int = 2,
     state: WalkState | None = None,
-) -> WalkSummary:
-    """Run the walk over every prime in [start, limit]."""
-    t0 = time.perf_counter()
+) -> WalkState:
+    """Run the walk over every prime in [start, limit]; returns the final state."""
     session = WalkSession(rule, observers, state=state)
     for batch in iter_walk_prime_arrays(
         limit, start=start, segment_flags=segment_flags, threads=threads
     ):
         session.feed(batch)
-    final = session.finish(max(limit, 0))
-    return WalkSummary(
-        final_x=final.x,
-        final_y=final.y,
-        steps_taken=final.steps_taken,
-        last_n=final.last_n,
-        elapsed=time.perf_counter() - t0,
-    )
+    return session.finish(max(limit, 0))
 
 
 # --- random baseline ---------------------------------------------------------
@@ -232,26 +200,11 @@ class RandomSource:
     top 53 bits.  Identical on every platform.
     """
 
-    def __init__(self, seed: int, index: int = 0):
-        self.seed = seed & _MASK
-        self.index = index
-
-    def next_float(self) -> float:
-        self.index += 1
-        return float(self.block_at(self.seed, self.index, 1)[0])
-
     @staticmethod
     def block_at(seed: int, start_index: int, n: int) -> np.ndarray:
         idx = np.arange(start_index, start_index + n, dtype=np.uint64)
         z = np.uint64(seed & _MASK) + idx * np.uint64(_GAMMA)
         return (_mix(z) >> np.uint64(11)) * (2.0 ** -53)
-
-
-def pearson_direction(r: float) -> Direction:
-    """Uniform r in [0, 1) -> one of the four directions via floor(r / 0.25)."""
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"r must lie in [0, 1), got {r}")
-    return PEARSON_DIRECTIONS[int(r / 0.25)]
 
 
 _PEARSON_DX = np.array([d.delta[0] for d in PEARSON_DIRECTIONS], dtype=np.int64)
@@ -265,44 +218,22 @@ def run_random_walk(
     *,
     batch_size: int = 1 << 21,
     state: WalkState | None = None,
-    uniforms: Iterable[float] | None = None,
-) -> WalkSummary:
+) -> WalkState:
     """Execute `steps` uniform four-direction moves from the seeded source.
 
-    `uniforms` substitutes an explicit sequence of r-values (testing hook);
-    resuming from `state` continues the generator at index
-    state.steps_taken + 1, so a resumed run replays the exact tail of the
-    uninterrupted sequence.
+    Step i takes direction PEARSON_DIRECTIONS[floor(r_i / 0.25)] for the i-th
+    uniform r_i, so resuming from `state` continues the generator at index
+    state.steps_taken + 1 and replays the exact tail of the uninterrupted
+    sequence.
     """
-    t0 = time.perf_counter()
     st = state or WalkState()
-    done = st.steps_taken
-    x, y = st.x, st.y
-    if uniforms is not None:
-        rs = np.fromiter(uniforms, dtype=np.float64)
-        if len(rs) < steps - done:
-            raise ValueError("not enough uniforms supplied")
-    while done < steps:
-        n = min(batch_size, steps - done)
-        if uniforms is not None:
-            block = rs[done - st.steps_taken : done - st.steps_taken + n]
-        else:
-            block = RandomSource.block_at(seed, done + 1, n)
+    while st.steps_taken < steps:
+        n = min(batch_size, steps - st.steps_taken)
+        block = RandomSource.block_at(seed, st.steps_taken + 1, n)
         if np.any((block < 0.0) | (block >= 1.0)):
             raise ValueError("uniform source produced r outside [0, 1)")
         idx = (block / 0.25).astype(np.int64)
-        xs = x + np.cumsum(_PEARSON_DX[idx])
-        ys = y + np.cumsum(_PEARSON_DY[idx])
-        for obs in observers:
-            obs.observe(None, None, xs, ys, x, y)
-        x, y = int(xs[-1]), int(ys[-1])
-        done += n
+        st = _advance(st, idx, _PEARSON_DX, _PEARSON_DY, observers)
     for obs in observers:
-        obs.finish(done, done)
-    return WalkSummary(
-        final_x=x,
-        final_y=y,
-        steps_taken=done,
-        last_n=done,
-        elapsed=time.perf_counter() - t0,
-    )
+        obs.finish(st.last_n, st.steps_taken)
+    return st

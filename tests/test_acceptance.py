@@ -23,7 +23,9 @@ from primewalk.grid import GridObserver
 from primewalk.polar import PolarObserver, box_counting_dimension
 from primewalk.primes import count_walk_primes, iter_walk_prime_arrays
 from primewalk.runs import RunLengthObserver, short_run_fraction
-from primewalk.walk import A1, A2, A3, StepObserver, WalkSession, run_random_walk, run_walk
+from primewalk.walk import A1, A2, A3, WalkSession, run_random_walk, run_walk
+
+from conftest import StepObserver
 
 LIMIT_1E9 = 10**9
 BENFORD_MAX_ABS_DEV = 0.04  # frozen after the calibration run at these scales

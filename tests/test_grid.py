@@ -8,9 +8,12 @@ from primewalk.grid import (
     GridObserver,
     VisitMap,
     checkpoint_schedule,
+    pack_arrays,
     recurrence_report,
 )
-from primewalk.walk import A1, StepObserver, run_walk
+from primewalk.walk import A1, run_walk
+
+from conftest import StepObserver, record_step
 
 
 class ReplayRecorder(StepObserver):
@@ -26,20 +29,20 @@ class ReplayRecorder(StepObserver):
 class TestVisitMap:
     def test_first_step(self):
         m = VisitMap()
-        m.record_step(0, 1)
+        record_step(m, 0, 1)
         assert m.count_at(0, 1) == 1
         assert m.area == 2  # origin plus the new cell
 
     def test_revisit_keeps_area(self):
         m = VisitMap()
-        m.record_step(0, 1)
-        m.record_step(0, 1)
+        record_step(m, 0, 1)
+        record_step(m, 0, 1)
         assert m.count_at(0, 1) == 2
         assert m.area == 2
 
     def test_return_to_origin(self):
         m = VisitMap()
-        m.record_step(0, 0)
+        record_step(m, 0, 0)
         assert m.count_at(0, 0) == 1
         assert m.area == 1
 
@@ -51,9 +54,9 @@ class TestVisitMap:
 
     def test_negative_coordinates(self):
         m = VisitMap()
-        m.record_step(-3, -7)
-        m.record_step(-3, -7)
-        m.record_step(4, -1)
+        record_step(m, -3, -7)
+        record_step(m, -3, -7)
+        record_step(m, 4, -1)
         assert m.count_at(-3, -7) == 2
         assert m.count_at(4, -1) == 1
         assert sorted(xy for xy in m.items()) == [(-3, -7, 2), (4, -1, 1)]
@@ -63,16 +66,16 @@ class TestVisitMap:
         xs = rng.integers(-5, 6, size=500)
         ys = rng.integers(-5, 6, size=500)
         a, b = VisitMap(), VisitMap()
-        a.record_positions(xs, ys)
+        a.record_keys(pack_arrays(xs, ys))
         for x, y in zip(xs.tolist(), ys.tolist()):
-            b.record_step(x, y)
+            record_step(b, x, y)
         assert list(a.items()) == list(b.items())
         assert a.area == b.area
 
     def test_state_roundtrip(self):
         m = VisitMap()
-        m.record_step(1, 2)
-        m.record_step(-1, 0)
+        record_step(m, 1, 2)
+        record_step(m, -1, 0)
         m2 = VisitMap.from_state(m.state())
         assert list(m2.items()) == list(m.items())
         assert m2.total_visits == m.total_visits
@@ -158,7 +161,7 @@ class TestRecurrence:
 
     def test_single_step(self):
         m = VisitMap()
-        m.record_step(0, -1)
+        record_step(m, 0, -1)
         rep = recurrence_report(m)
         assert (rep.argmax_x, rep.argmax_y) == (0, -1)
         assert rep.z_max == 1
@@ -166,16 +169,16 @@ class TestRecurrence:
     def test_tie_breaks_lexicographic_after_distance(self):
         m = VisitMap()
         for _ in range(5):
-            m.record_step(0, 1)
-            m.record_step(0, -1)
+            record_step(m, 0, 1)
+            record_step(m, 0, -1)
         rep = recurrence_report(m)
         assert (rep.argmax_x, rep.argmax_y) == (0, -1)
 
     def test_distance_beats_lexicographic(self):
         m = VisitMap()
         for _ in range(3):
-            m.record_step(-5, 0)
-            m.record_step(1, 0)
+            record_step(m, -5, 0)
+            record_step(m, 1, 0)
         rep = recurrence_report(m)
         assert (rep.argmax_x, rep.argmax_y) == (1, 0)
 

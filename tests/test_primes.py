@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primewalk.primes import (
-    SieveContractError,
-    base_primes,
-    count_walk_primes,
-    iter_events,
-    iter_walk_prime_arrays,
-    sieve_segment,
-    stream_events,
-)
+from primewalk import primes
+from primewalk.primes import base_primes, count_walk_primes, iter_walk_prime_arrays
 
-from conftest import trial_division_primes, walk_primes_oracle
+from conftest import iter_events, trial_division_primes, walk_primes_oracle
+
+
+def walk_primes_in(lo, hi, segment_flags=8):
+    """Walk primes in [lo, hi) from the engine, over several small segments."""
+    arrays = iter_walk_prime_arrays(hi - 1, start=lo, segment_flags=segment_flags)
+    return [p for arr in arrays for p in arr.tolist()]
 
 
 class TestBasePrimes:
@@ -34,33 +33,18 @@ class TestBasePrimes:
 
 class TestSieveSegment:
     def test_interval(self):
-        seg = sieve_segment(10, 20, [2, 3])
-        assert seg.primes().tolist() == [11, 13, 17, 19]
+        assert walk_primes_in(10, 20) == [11, 13, 17, 19]
 
     def test_from_two(self):
-        seg = sieve_segment(2, 10, [2, 3])
-        assert seg.primes().tolist() == [2, 3, 5, 7]
+        assert walk_primes_in(2, 10) == [3, 7]
 
     def test_composite_single_cell(self):
-        seg = sieve_segment(100, 101, [2, 3, 5, 7])
-        assert seg.primes().tolist() == []
-
-    def test_insufficient_base_rejected(self):
-        with pytest.raises(SieveContractError):
-            sieve_segment(100, 200, [2, 3])
-
-    def test_bad_bounds(self):
-        with pytest.raises(ValueError):
-            sieve_segment(1, 10, [2, 3])
-        with pytest.raises(ValueError):
-            sieve_segment(10, 10, [2, 3])
+        assert walk_primes_in(100, 101) == []
 
     def test_matches_oracle(self):
-        base = base_primes(100)
         for lo, hi in [(2, 500), (500, 1000), (997, 998), (9000, 10000)]:
-            seg = sieve_segment(lo, hi, base)
-            expect = [p for p in trial_division_primes(hi - 1) if lo <= p < hi]
-            assert seg.primes().tolist() == expect
+            expect = [p for p in walk_primes_oracle(hi - 1) if lo <= p < hi]
+            assert walk_primes_in(lo, hi) == expect
 
 
 class TestEventStream:
@@ -72,12 +56,6 @@ class TestEventStream:
     def test_two_and_five_excluded(self):
         assert [e.prime for e in iter_events(2)] == []
         assert [e.prime for e in iter_events(5)] == [3]
-
-    def test_push_mode_counts(self):
-        seen = []
-        n = stream_events(20, seen.append)
-        assert n == 6
-        assert [e.prime for e in seen] == [3, 7, 11, 13, 17, 19]
 
     def test_event_invariants(self):
         for e in iter_events(10_000, segment_flags=256):
@@ -103,6 +81,23 @@ class TestEventStream:
             list(iter_walk_prime_arrays(200_000, segment_flags=1024, threads=4))
         )
         assert np.array_equal(plain, threaded)
+
+    def test_threaded_prefetch_is_bounded(self, monkeypatch):
+        started = []
+
+        def counting(lo, hi, base):
+            started.append(lo)
+            return sieve(lo, hi, base)
+
+        sieve = primes._walk_primes_in
+        monkeypatch.setattr(primes, "_walk_primes_in", counting)
+        it = iter_walk_prime_arrays(100_000, segment_flags=16, threads=2)
+        first = next(it)
+        # 3,125 segments in all; at most threads + 1 are in flight
+        assert len(started) <= 2 + 2
+        stream = np.concatenate([first, *it])
+        assert len(started) == 3125
+        assert stream.tolist() == walk_primes_oracle(100_000)
 
 
 class TestCountWalkPrimes:

@@ -5,18 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primewalk.primes import iter_events
 from primewalk.runs import (
-    RunAccumulator,
     RunHistogram,
     RunLengthObserver,
-    feed,
-    finalize,
     run_histogram,
     short_run_fraction,
 )
 
-from conftest import walk_primes_oracle
+from conftest import ScalarRuns, iter_events, walk_primes_oracle
 
 
 def two_pass_oracle(digits):
@@ -28,43 +24,51 @@ def two_pass_oracle(digits):
     return hist
 
 
+def feed_both(digits):
+    """Feed `digits` to the engine observer and to the scalar oracle."""
+    obs, ref = RunLengthObserver(), ScalarRuns()
+    obs.feed_digits(np.array(digits, dtype=np.int64))
+    for d in digits:
+        ref.feed(d)
+    return obs, ref
+
+
 class TestFeedFinalize:
     def test_alternating(self):
-        acc, hist = RunAccumulator(), RunHistogram()
-        feed(acc, hist, 3)
-        feed(acc, hist, 7)
-        assert hist.counts == {(3, 1): 1}
-        finalize(acc, hist)
-        assert hist.counts == {(3, 1): 1, (7, 1): 1}
+        obs, ref = feed_both([3, 7])
+        assert obs.hist.counts == ref.counts == {(3, 1): 1}
+        assert obs.finalized_histogram().counts == ref.finalize() == {(3, 1): 1, (7, 1): 1}
 
     def test_pair_then_new(self):
-        acc, hist = RunAccumulator(), RunHistogram()
-        for d in (9, 9, 1):
-            feed(acc, hist, d)
-        assert hist.counts == {(9, 2): 1}
-        assert (acc.current_digit, acc.current_length) == (1, 1)
+        obs, ref = feed_both([9, 9, 1])
+        assert obs.hist.counts == ref.counts == {(9, 2): 1}
+        assert (obs.acc_digit, obs.acc_length) == (ref.digit, ref.length) == (1, 1)
 
     def test_finalize_commits_open_run(self):
-        acc, hist = RunAccumulator(), RunHistogram()
-        acc.current_digit, acc.current_length = 1, 3
-        finalize(acc, hist)
-        assert hist.counts == {(1, 3): 1}
-        assert acc.current_digit is None
+        obs, ref = feed_both([1, 1, 1])
+        assert obs.finalized_histogram().counts == ref.finalize() == {(1, 3): 1}
+        assert ref.digit is None
+        # the observer keeps its open run so that a resumed walk can extend it
+        assert (obs.acc_digit, obs.acc_length) == (1, 3)
 
     def test_finalize_empty_acc(self):
-        acc, hist = RunAccumulator(), RunHistogram()
-        finalize(acc, hist)
-        assert hist.counts == {}
+        obs, ref = feed_both([])
+        assert obs.finalized_histogram().counts == ref.finalize() == {}
 
     def test_single_digit(self):
-        acc, hist = RunAccumulator(), RunHistogram()
-        feed(acc, hist, 3)
-        finalize(acc, hist)
-        assert hist.counts == {(3, 1): 1}
+        obs, ref = feed_both([3])
+        assert obs.finalized_histogram().counts == ref.finalize() == {(3, 1): 1}
 
     def test_bad_digit(self):
+        # the oracle refuses digits the walk never produces
         with pytest.raises(ValueError):
-            feed(RunAccumulator(), RunHistogram(), 2)
+            ScalarRuns().feed(2)
+
+    def test_run_of_ten_thousand(self):
+        digits = [3] * 10_000 + [7, 1]
+        obs, ref = feed_both(digits)
+        assert obs.hist.counts == ref.counts == {(3, 10_000): 1, (7, 1): 1}
+        assert obs.finalized_histogram().counts == two_pass_oracle(digits)
 
 
 class TestRunHistogram:

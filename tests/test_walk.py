@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,35 +10,40 @@ from primewalk.walk import (
     RULES,
     Direction,
     RandomSource,
-    StepObserver,
     WalkRule,
+    WalkSession,
     WalkState,
-    pearson_direction,
-    rule_direction,
     run_random_walk,
     run_walk,
+)
+
+from conftest import (
+    ScalarRandomSource,
+    StepObserver,
+    pearson_direction,
     step,
+    walk_primes_oracle,
 )
 
 
 class TestRules:
     def test_a1_table(self):
-        assert rule_direction(A1, 1) is Direction.DOWN
-        assert rule_direction(A1, 3) is Direction.UP
-        assert rule_direction(A1, 7) is Direction.RIGHT
-        assert rule_direction(A1, 9) is Direction.LEFT
+        assert A1.direction(1) is Direction.DOWN
+        assert A1.direction(3) is Direction.UP
+        assert A1.direction(7) is Direction.RIGHT
+        assert A1.direction(9) is Direction.LEFT
 
     def test_a2_a3_spot_checks(self):
-        assert rule_direction(A2, 7) is Direction.DOWN
-        assert rule_direction(A2, 1) is Direction.RIGHT
-        assert rule_direction(A3, 9) is Direction.DOWN
-        assert rule_direction(A3, 1) is Direction.LEFT
+        assert A2.direction(7) is Direction.DOWN
+        assert A2.direction(1) is Direction.RIGHT
+        assert A3.direction(9) is Direction.DOWN
+        assert A3.direction(1) is Direction.LEFT
 
     def test_bad_digit_rejected(self):
         with pytest.raises(ValueError):
-            rule_direction(A1, 2)
+            A1.direction(2)
         with pytest.raises(ValueError):
-            rule_direction(A1, 0)
+            A1.direction(0)
 
     def test_rules_are_bijections(self):
         for rule in RULES.values():
@@ -50,6 +56,24 @@ class TestRules:
                              (7, Direction.RIGHT), (9, Direction.LEFT)))
 
 
+class PathRecorder(StepObserver):
+    def __init__(self):
+        self.path = []
+        self.events = []
+
+    def on_step(self, prime, digit, old_pos, new_pos):
+        self.events.append((prime, digit, old_pos))
+        self.path.append(new_pos)
+
+
+def engine_walk(rule, digits, start=WalkState()):
+    """Feed `digits` (standing in for primes with those last digits) to the engine."""
+    rec = PathRecorder()
+    session = WalkSession(rule, [rec], state=start)
+    session.feed(np.array(digits, dtype=np.int64))
+    return session.state, rec.path
+
+
 class TestStep:
     def test_forced_moves(self):
         s = WalkState()
@@ -60,6 +84,9 @@ class TestStep:
         s = step(s, 1, A1)
         assert (s.x, s.y) == (1, 0)
         assert s.steps_taken == 3
+        end, path = engine_walk(A1, [3, 7, 1])
+        assert path == [(0, 1), (1, 1), (1, 0)]
+        assert (end.x, end.y, end.steps_taken) == (s.x, s.y, s.steps_taken)
 
     def _inverse_pairs(self, rule):
         """Digit pairs whose directions cancel, derived from the table."""
@@ -84,16 +111,8 @@ class TestStep:
             s = WalkState(x=5, y=-3)
             t = step(step(s, a, rule), b, rule)
             assert (t.x, t.y) == (s.x, s.y)
-
-
-class PathRecorder(StepObserver):
-    def __init__(self):
-        self.path = []
-        self.events = []
-
-    def on_step(self, prime, digit, old_pos, new_pos):
-        self.events.append((prime, digit, old_pos))
-        self.path.append(new_pos)
+            end, _ = engine_walk(rule, [a, b], start=s)
+            assert (end.x, end.y) == (s.x, s.y)
 
 
 class TestRunWalk:
@@ -101,17 +120,17 @@ class TestRunWalk:
         rec = PathRecorder()
         summary = run_walk(14, A1, [rec])
         assert rec.path == [(0, 1), (1, 1), (1, 0), (1, 1)]
-        assert (summary.final_x, summary.final_y) == (1, 1)
+        assert (summary.x, summary.y) == (1, 1)
         assert summary.steps_taken == 4
 
     def test_hand_trace_limit_10(self):
         summary = run_walk(10, A1)
-        assert (summary.final_x, summary.final_y) == (1, 1)
+        assert (summary.x, summary.y) == (1, 1)
         assert summary.steps_taken == 2
 
     def test_empty_walk(self):
         summary = run_walk(0, A1)
-        assert (summary.final_x, summary.final_y, summary.steps_taken) == (0, 0, 0)
+        assert (summary.x, summary.y, summary.steps_taken) == (0, 0, 0)
 
     def test_observer_sees_old_positions(self):
         rec = PathRecorder()
@@ -124,6 +143,16 @@ class TestRunWalk:
         run_walk(5000, A2, [a])
         run_walk(5000, A2, [b])
         assert a.path == b.path
+
+    @pytest.mark.parametrize("rule", [A1, A2, A3])
+    def test_matches_step_oracle(self, rule):
+        rec = PathRecorder()
+        run_walk(5000, rule, [rec], segment_flags=64)
+        s, path = WalkState(), []
+        for p in walk_primes_oracle(5000):
+            s = step(s, p % 10, rule)
+            path.append((s.x, s.y))
+        assert rec.path == path
 
     def test_batching_invisible(self):
         a, b = PathRecorder(), PathRecorder()
@@ -138,7 +167,7 @@ class TestRunWalk:
         summary = run_walk(limit, A1, [rec])
         for i, (x, y) in enumerate(rec.path, start=1):
             assert max(abs(x), abs(y)) <= i
-        assert abs(summary.final_x) + abs(summary.final_y) <= summary.steps_taken
+        assert abs(summary.x) + abs(summary.y) <= summary.steps_taken
 
 
 class TestPearson:
@@ -154,21 +183,33 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson_direction(-0.01)
 
-    def test_rigged_source_path(self):
+    @staticmethod
+    def rig(monkeypatch, uniforms):
+        """Make the engine's generator return `uniforms` from index 1 on."""
+        rs = np.array(uniforms)
+        monkeypatch.setattr(RandomSource, "block_at",
+                            staticmethod(lambda seed, i, n: rs[i - 1 : i - 1 + n]))
+
+    def test_rigged_source_path(self, monkeypatch):
+        self.rig(monkeypatch, [0.0, 0.25, 0.5, 0.75])
         rec = PathRecorder()
-        summary = run_random_walk(4, seed=0, observers=[rec],
-                                  uniforms=[0.0, 0.25, 0.5, 0.75])
+        summary = run_random_walk(4, seed=0, observers=[rec], batch_size=3)
         assert rec.path == [(0, -1), (0, 0), (1, 0), (0, 0)]
-        assert (summary.final_x, summary.final_y) == (0, 0)
+        assert (summary.x, summary.y) == (0, 0)
+
+    def test_engine_rejects_out_of_range_uniform(self, monkeypatch):
+        self.rig(monkeypatch, [0.5, 1.0])
+        with pytest.raises(ValueError):
+            run_random_walk(2, seed=0)
 
     def test_zero_steps(self):
         summary = run_random_walk(0, seed=123)
-        assert (summary.final_x, summary.final_y, summary.steps_taken) == (0, 0, 0)
+        assert (summary.x, summary.y, summary.steps_taken) == (0, 0, 0)
 
 
 class TestRandomSource:
     def test_reproducible(self):
-        src = RandomSource(99)
+        src = ScalarRandomSource(99)
         a = [src.next_float() for _ in range(100)]
         b = RandomSource.block_at(99, 1, 100).tolist()
         assert a == b
@@ -182,6 +223,12 @@ class TestRandomSource:
         run_random_walk(1000, seed=5, observers=[a])
         run_random_walk(1000, seed=5, observers=[b], batch_size=17)
         assert a.path == b.path
+        src, pos, oracle = ScalarRandomSource(5), (0, 0), []
+        for _ in range(1000):
+            dx, dy = pearson_direction(src.next_float()).delta
+            pos = (pos[0] + dx, pos[1] + dy)
+            oracle.append(pos)
+        assert a.path == oracle
 
     def test_different_seeds_diverge(self):
         a, b = PathRecorder(), PathRecorder()
