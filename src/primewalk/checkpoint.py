@@ -1,144 +1,70 @@
-"""Binary checkpoint files for long runs.
-
-Layout: magic "PWLK", version, 32-byte config hash, length-prefixed
-payload, CRC32 of the payload.  The payload is a flat set of sections, each
-a name -> typed-value map (ints, floats, byte strings and fixed-width
-little-endian numpy arrays).  Decoding is version-gated and integrity is
-checked before any field is trusted.
-"""
-
-from __future__ import annotations
+"""Binary checkpoint files: magic "PWLK", version, 32-byte config hash,
+length-prefixed payload, CRC32 of the payload.  The envelope is checked
+before the payload, an npz archive of "section/field" arrays, is loaded."""
 
 import io
+import os
 import struct
+import zipfile
 import zlib
 
 import numpy as np
 
 MAGIC = b"PWLK"
-VERSION = 1
-
-_T_INT = 0
-_T_FLOAT = 1
-_T_BYTES = 2
-_T_ARR_U64 = 3
-_T_ARR_I64 = 4
-_T_ARR_F64 = 5
-
-_ARR_DTYPES = {
-    _T_ARR_U64: np.dtype("<u8"),
-    _T_ARR_I64: np.dtype("<i8"),
-    _T_ARR_F64: np.dtype("<f8"),
-}
+VERSION = 2
+_HEAD = struct.Struct("<4sI32sQ")
 
 
 class CheckpointError(Exception):
     """Corrupt, truncated or incompatible checkpoint file."""
 
 
-def _write_str(buf: io.BytesIO, s: str) -> None:
-    raw = s.encode("utf-8")
-    buf.write(struct.pack("<H", len(raw)))
-    buf.write(raw)
+def _encode(name: str, v) -> np.ndarray:
+    # bytes travel as uint8, as "S" drops trailing NULs; so refuse uint8 arrays
+    if isinstance(v, bytes):
+        return np.frombuffer(v, np.uint8)
+    a = np.asarray(v)
+    if a.dtype == np.uint8 or a.dtype.hasobject:
+        raise TypeError(f"cannot checkpoint {name}: {a.dtype} array")
+    return a
 
 
-def _read_str(buf: io.BytesIO) -> str:
-    (n,) = struct.unpack("<H", buf.read(2))
-    return buf.read(n).decode("utf-8")
-
-
-def _write_value(buf: io.BytesIO, value) -> None:
-    if isinstance(value, bool):
-        value = int(value)
-    if isinstance(value, (int, np.integer)):
-        buf.write(struct.pack("<Bq", _T_INT, int(value)))
-    elif isinstance(value, (float, np.floating)):
-        buf.write(struct.pack("<Bd", _T_FLOAT, float(value)))
-    elif isinstance(value, (bytes, bytearray)):
-        buf.write(struct.pack("<BQ", _T_BYTES, len(value)))
-        buf.write(bytes(value))
-    elif isinstance(value, np.ndarray):
-        if value.dtype == np.uint64:
-            tag = _T_ARR_U64
-        elif value.dtype == np.int64:
-            tag = _T_ARR_I64
-        elif value.dtype == np.float64:
-            tag = _T_ARR_F64
-        else:
-            raise TypeError(f"unsupported array dtype {value.dtype}")
-        raw = np.ascontiguousarray(value).astype(_ARR_DTYPES[tag]).tobytes()
-        buf.write(struct.pack("<BQ", tag, len(value)))
-        buf.write(raw)
-    else:
-        raise TypeError(f"unsupported checkpoint value type {type(value)}")
-
-
-def _read_value(buf: io.BytesIO):
-    (tag,) = struct.unpack("<B", buf.read(1))
-    if tag == _T_INT:
-        return struct.unpack("<q", buf.read(8))[0]
-    if tag == _T_FLOAT:
-        return struct.unpack("<d", buf.read(8))[0]
-    if tag == _T_BYTES:
-        (n,) = struct.unpack("<Q", buf.read(8))
-        return buf.read(n)
-    if tag in _ARR_DTYPES:
-        (n,) = struct.unpack("<Q", buf.read(8))
-        dt = _ARR_DTYPES[tag]
-        raw = buf.read(n * dt.itemsize)
-        if len(raw) != n * dt.itemsize:
-            raise CheckpointError("truncated array payload")
-        return np.frombuffer(raw, dtype=dt).copy()
-    raise CheckpointError(f"unknown value tag {tag}")
+def _decode(a: np.ndarray):
+    return a.tobytes() if a.dtype == np.uint8 else a.item() if a.ndim == 0 else a
 
 
 def write_checkpoint(path, config_hash: bytes, sections: dict) -> None:
     if len(config_hash) != 32:
         raise ValueError("config hash must be 32 bytes")
+    flat = {f"{s}/{k}": v for s, fields in sections.items() for k, v in fields.items()}
     buf = io.BytesIO()
-    buf.write(struct.pack("<I", len(sections)))
-    for name in sorted(sections):
-        _write_str(buf, name)
-        fields = sections[name]
-        buf.write(struct.pack("<I", len(fields)))
-        for key in sorted(fields):
-            _write_str(buf, key)
-            _write_value(buf, fields[key])
-    payload = buf.getvalue()
+    np.savez(buf, **{n: _encode(n, flat[n]) for n in sorted(flat)})
+    payload = buf.getbuffer()
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(config_hash)
-        fh.write(struct.pack("<Q", len(payload)))
+        fh.write(_HEAD.pack(MAGIC, VERSION, config_hash, len(payload)))
         fh.write(payload)
         fh.write(struct.pack("<I", zlib.crc32(payload)))
 
 
 def read_checkpoint(path) -> tuple[bytes, dict]:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 + 4 + 32 + 8 + 4 or blob[:4] != MAGIC:
-        raise CheckpointError("not a walk checkpoint file")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    config_hash = blob[8:40]
-    (length,) = struct.unpack_from("<Q", blob, 40)
-    payload = blob[48 : 48 + length]
-    if len(payload) != length:
-        raise CheckpointError("truncated checkpoint payload")
-    (crc,) = struct.unpack_from("<I", blob, 48 + length)
-    if zlib.crc32(payload) != crc:
+        head = fh.read(_HEAD.size)
+        if len(head) < _HEAD.size or head[:4] != MAGIC:
+            raise CheckpointError("not a walk checkpoint file")
+        _, version, config_hash, length = _HEAD.unpack(head)
+        if version != VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        if os.fstat(fh.fileno()).st_size != _HEAD.size + length + 4:
+            raise CheckpointError("checkpoint size does not match its payload length")
+        payload, crc = fh.read(length), fh.read(4)
+    if struct.pack("<I", zlib.crc32(payload)) != crc:
         raise CheckpointError("checkpoint integrity check failed")
-    buf = io.BytesIO(payload)
-    (n_sections,) = struct.unpack("<I", buf.read(4))
     sections: dict[str, dict] = {}
-    for _ in range(n_sections):
-        name = _read_str(buf)
-        (n_fields,) = struct.unpack("<I", buf.read(4))
-        fields = {}
-        for _ in range(n_fields):
-            key = _read_str(buf)
-            fields[key] = _read_value(buf)
-        sections[name] = fields
+    try:
+        with np.load(io.BytesIO(payload), allow_pickle=False) as npz:
+            for name in npz.files:
+                section, key = name.split("/")
+                sections.setdefault(section, {})[key] = _decode(npz[name])
+    except (zipfile.BadZipFile, ValueError, TypeError, EOFError) as exc:
+        raise CheckpointError(f"undecodable checkpoint payload: {exc}") from exc
     return config_hash, sections

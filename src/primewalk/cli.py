@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import benford, fitting, grid, polar, runs
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
-from .primes import DEFAULT_SEGMENT_FLAGS, count_walk_primes
+from .primes import count_walk_primes
 from .runs import short_run_fraction
 from .walk import RULES, WalkState, run_random_walk, run_walk
 
@@ -50,12 +50,11 @@ class RunConfig:
     checkpoint_factor: float = 1.25
     out_dir: Path = Path(".")
     analyses: tuple = ALL_ANALYSES
-    resume_from: Path | None = None
-    segment_flags: int = DEFAULT_SEGMENT_FLAGS
     threads: int = 1
     export_visits: bool = False
 
     def __post_init__(self):
+        self.analyses = tuple(self.analyses)
         if self.limit < 0:
             raise UsageError("limit must be >= 0")
         if self.checkpoint_factor <= 1.0:
@@ -66,19 +65,15 @@ class RunConfig:
         if bad:
             raise UsageError(f"unknown analyses: {sorted(bad)}")
 
-    def identity(self) -> dict:
-        """The fields a resumed run must agree on."""
-        return {
+    def identity(self) -> bytes:
+        """Canonical JSON of the fields a resumed run must agree on."""
+        fields = {
             "rule": self.rule,
             "seed": self.seed,
             "checkpoint_factor": self.checkpoint_factor,
             "analyses": sorted(self.analyses),
         }
-
-
-def config_hash(cfg: RunConfig) -> bytes:
-    raw = json.dumps(cfg.identity(), sort_keys=True).encode("utf-8")
-    return hashlib.sha256(raw).digest()
+        return json.dumps(fields, sort_keys=True).encode("utf-8")
 
 
 @dataclass
@@ -91,24 +86,31 @@ class Analyzers:
         return [o for o in (self.grid_obs, self.runs_obs, self.polar_obs) if o]
 
 
+def _restore(sections: dict, name: str, restore):
+    """restore(sections[name]); a missing section or field is a CheckpointError."""
+    if name not in sections:
+        raise CheckpointError(f"checkpoint has no {name!r} section")
+    try:
+        return restore(sections[name])
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint {name!r} section lacks {exc}") from None
+
+
 def build_analyzers(cfg: RunConfig, sections: dict | None = None) -> Analyzers:
+    """Fresh analyzers for cfg, or the ones saved in checkpoint `sections`."""
+
+    def make(name, cls, *args):
+        if sections is None:
+            return cls(*args)
+        return _restore(sections, name, cls.from_state)
+
     a = Analyzers()
-    wants_map = {"area", "benford", "recurrence"} & set(cfg.analyses)
-    if wants_map:
-        if sections and "grid" in sections:
-            a.grid_obs = grid.GridObserver.from_state(sections["grid"])
-        else:
-            a.grid_obs = grid.GridObserver(cfg.checkpoint_factor)
+    if {"area", "benford", "recurrence"} & set(cfg.analyses):
+        a.grid_obs = make("grid", grid.GridObserver, cfg.checkpoint_factor)
     if "runs" in cfg.analyses and cfg.rule != "rw":
-        if sections and "runs" in sections:
-            a.runs_obs = runs.RunLengthObserver.from_state(sections["runs"])
-        else:
-            a.runs_obs = runs.RunLengthObserver()
+        a.runs_obs = make("runs", runs.RunLengthObserver)
     if "polar" in cfg.analyses:
-        if sections and "polar" in sections:
-            a.polar_obs = polar.PolarObserver.from_state(sections["polar"])
-        else:
-            a.polar_obs = polar.PolarObserver()
+        a.polar_obs = make("polar", polar.PolarObserver)
     return a
 
 
@@ -193,12 +195,9 @@ def _write_benford(vmap: grid.VisitMap, path, lines):
 
 
 def save_checkpoint(cfg: RunConfig, analyzers: Analyzers, summary, path):
+    identity = cfg.identity()
     sections = {
-        "config": {
-            "json": json.dumps(cfg.identity(), sort_keys=True).encode("utf-8"),
-            "rule": cfg.rule.encode(),
-            "seed": cfg.seed,
-        },
+        "config": {"json": identity},
         "walk": {
             "n": summary.last_n,
             "x": summary.x,
@@ -212,38 +211,13 @@ def save_checkpoint(cfg: RunConfig, analyzers: Analyzers, summary, path):
         sections["runs"] = analyzers.runs_obs.state()
     if analyzers.polar_obs is not None:
         sections["polar"] = analyzers.polar_obs.state()
-    write_checkpoint(path, config_hash(cfg), sections)
+    write_checkpoint(path, hashlib.sha256(identity).digest(), sections)
 
 
-def execute_walk(cfg: RunConfig) -> int:
-    sections = None
-    state = None
-    if cfg.resume_from is not None:
-        stored_hash, sections = read_checkpoint(cfg.resume_from)
-        stored = json.loads(sections["config"]["json"].decode("utf-8"))
-        raw = json.dumps(stored, sort_keys=True).encode("utf-8")
-        if hashlib.sha256(raw).digest() != stored_hash:
-            raise CheckpointError("checkpoint config hash mismatch")
-        # the checkpoint owns the run identity; a tampered config is caught
-        # by the hash check above
-        cfg.rule = stored["rule"]
-        cfg.seed = int(stored["seed"])
-        cfg.checkpoint_factor = float(stored["checkpoint_factor"])
-        cfg.analyses = tuple(stored["analyses"])
-        walk_sec = sections["walk"]
-        done_n = int(walk_sec["n"])
-        target = cfg.limit if cfg.rule != "rw" else cfg.steps
-        if target <= done_n:
-            raise CheckpointError(
-                f"new limit {target} must exceed checkpointed progress {done_n}"
-            )
-        state = WalkState(
-            x=int(walk_sec["x"]),
-            y=int(walk_sec["y"]),
-            steps_taken=int(walk_sec["steps"]),
-            last_n=done_n,
-        )
-
+def execute_walk(
+    cfg: RunConfig, sections: dict | None = None, state: WalkState | None = None
+) -> int:
+    """Run cfg from scratch, or continue from `state` and checkpoint `sections`."""
     analyzers = build_analyzers(cfg, sections)
     observers = analyzers.observers()
     if cfg.rule == "rw":
@@ -254,7 +228,6 @@ def execute_walk(cfg: RunConfig) -> int:
             cfg.limit,
             RULES[cfg.rule],
             observers,
-            segment_flags=cfg.segment_flags,
             threads=cfg.threads,
             start=start,
             state=state,
@@ -262,6 +235,26 @@ def execute_walk(cfg: RunConfig) -> int:
     write_outputs(cfg, analyzers, summary, cfg.out_dir)
     save_checkpoint(cfg, analyzers, summary, cfg.out_dir / "checkpoint.pwlk")
     return EXIT_OK
+
+
+def _walk_state(s: dict) -> WalkState:
+    return WalkState(int(s["x"]), int(s["y"]), int(s["steps"]), int(s["n"]))
+
+
+def resume_walk(path, target: int, **runtime) -> int:
+    """Continue the run saved at `path` up to N = target (steps, for rw)."""
+    stored_hash, sections = read_checkpoint(path)
+    raw = _restore(sections, "config", lambda s: s["json"])
+    if hashlib.sha256(raw).digest() != stored_hash:
+        raise CheckpointError("checkpoint config hash mismatch")
+    # the checkpoint owns the run identity; a tampered one fails the hash above
+    cfg = RunConfig(limit=target, steps=target, **runtime, **json.loads(raw))
+    state = _restore(sections, "walk", _walk_state)
+    if target <= state.last_n:
+        raise CheckpointError(
+            f"new limit {target} must exceed checkpointed progress {state.last_n}"
+        )
+    return execute_walk(cfg, sections, state)
 
 
 def _add_walk_flags(p: argparse.ArgumentParser):
@@ -276,9 +269,7 @@ def _add_walk_flags(p: argparse.ArgumentParser):
         default=",".join(ALL_ANALYSES),
         help=f"comma list from {{{','.join(ALL_ANALYSES)}}}",
     )
-    p.add_argument("--resume", default=None, help="checkpoint file to continue from")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--segment-size", default=str(DEFAULT_SEGMENT_FLAGS))
     p.add_argument("--export-visits", action="store_true")
 
 
@@ -291,8 +282,6 @@ def _config_from_args(args) -> RunConfig:
         checkpoint_factor=args.checkpoint_factor,
         out_dir=Path(args.out),
         analyses=tuple(s for s in args.analyses.split(",") if s),
-        resume_from=Path(args.resume) if args.resume else None,
-        segment_flags=parse_number(args.segment_size),
         threads=args.threads,
         export_visits=args.export_visits,
     )
@@ -313,42 +302,31 @@ def main(argv=None) -> int:
     resume_p.add_argument("--limit", required=True, help="new target N (or rw steps)")
     resume_p.add_argument("--out", default=".", help="output directory")
     resume_p.add_argument("--threads", type=int, default=1)
-    resume_p.add_argument("--segment-size", default=str(DEFAULT_SEGMENT_FLAGS))
     resume_p.add_argument("--export-visits", action="store_true")
 
     count_p = sub.add_parser("count", help="count walk primes up to a limit")
     count_p.add_argument("limit")
     count_p.add_argument("--threads", type=int, default=1)
-    count_p.add_argument("--segment-size", default=str(DEFAULT_SEGMENT_FLAGS))
 
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise UsageError("threads must be >= 1")
         if args.command == "count":
             limit = parse_number(args.limit)
             if limit < 0:
                 raise UsageError("limit must be >= 0")
-            print(
-                count_walk_primes(
-                    limit,
-                    segment_flags=parse_number(args.segment_size),
-                    threads=args.threads,
-                )
-            )
+            print(count_walk_primes(limit, threads=args.threads))
             return EXIT_OK
         if args.command == "resume":
-            target = parse_number(args.limit)
-            cfg = RunConfig(
-                limit=target,
-                steps=target,
+            return resume_walk(
+                Path(args.checkpoint),
+                parse_number(args.limit),
                 out_dir=Path(args.out),
-                resume_from=Path(args.checkpoint),
-                segment_flags=parse_number(args.segment_size),
                 threads=args.threads,
                 export_visits=args.export_visits,
             )
-            return execute_walk(cfg)
-        cfg = _config_from_args(args)
-        return execute_walk(cfg)
+        return execute_walk(_config_from_args(args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

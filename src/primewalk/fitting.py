@@ -36,7 +36,8 @@ def linear_fit(xs, ys) -> FitResult:
     sxy = math.fsum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     slope = sxy / sxx
     intercept = mean_y - slope * mean_x
-    sse = math.fsum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
+    # centred residuals: y - (intercept + slope*x) cancels when |x| >> spread
+    sse = math.fsum(((y - mean_y) - slope * (x - mean_x)) ** 2 for x, y in zip(xs, ys))
     sst = math.fsum((y - mean_y) ** 2 for y in ys)
     if n > 2:
         stderr = math.sqrt(max(sse, 0.0) / (n - 2) / sxx)

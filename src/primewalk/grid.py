@@ -19,11 +19,22 @@ _OFFSET = 1 << 31
 ORIGIN_KEY = (_OFFSET << 32) | _OFFSET
 
 
+def _check_range(name: str, lo: int, hi: int) -> None:
+    if lo < -_OFFSET or hi >= _OFFSET:
+        bad = lo if lo < -_OFFSET else hi
+        raise ValueError(f"{name} coordinate {bad} outside packable [-2^31, 2^31)")
+
+
 def pack_xy(x: int, y: int) -> int:
+    _check_range("x", x, x)
+    _check_range("y", y, y)
     return ((x + _OFFSET) << 32) | (y + _OFFSET)
 
 
 def pack_arrays(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    if len(xs):
+        _check_range("x", int(xs.min()), int(xs.max()))
+        _check_range("y", int(ys.min()), int(ys.max()))
     return (
         (xs.astype(np.int64) + _OFFSET).astype(np.uint64) << np.uint64(32)
     ) | (ys.astype(np.int64) + _OFFSET).astype(np.uint64)

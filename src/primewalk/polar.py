@@ -84,22 +84,18 @@ def delta_series(positions) -> PolarDeltas:
 class PolarObserver(WalkObserver):
     """Streaming polar-increment collector for a walk run."""
 
-    def __init__(self, *, deltas: PolarDeltas | None = None, prev=None, steps_done=0):
+    def __init__(self, *, deltas: PolarDeltas | None = None, steps_done=0):
         self.deltas = deltas or PolarDeltas()
-        self._prev = prev  # (x, y) before the next batch; None until first batch
         self._steps_done = steps_done
         self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def observe(self, primes, digits, xs, ys, x0, y0):
-        if self._prev is None:
-            self._prev = (x0, y0)
-        px = np.concatenate(([self._prev[0]], xs))
-        py = np.concatenate(([self._prev[1]], ys))
+        px = np.concatenate(([x0], xs))
+        py = np.concatenate(([y0], ys))
         steps, d_r, d_phi, skipped = _deltas_from_arrays(px, py, self._steps_done + 1)
         self._chunks.append((steps, d_r, d_phi))
         self.deltas.skipped += skipped
         self._steps_done += len(xs)
-        self._prev = (int(xs[-1]), int(ys[-1]))
 
     def finish(self, last_n, steps_taken):
         self._flush()
@@ -119,15 +115,11 @@ class PolarObserver(WalkObserver):
 
     def state(self) -> dict:
         self._flush()
-        prev = self._prev if self._prev is not None else (0, 0)
         return {
             "steps": self.deltas.steps,
             "d_r": self.deltas.d_r,
             "d_phi": self.deltas.d_phi,
             "skipped": self.deltas.skipped,
-            "prev_x": prev[0],
-            "prev_y": prev[1],
-            "has_prev": 0 if self._prev is None else 1,
             "steps_done": self._steps_done,
         }
 
@@ -139,10 +131,7 @@ class PolarObserver(WalkObserver):
             d_phi=np.asarray(state["d_phi"], dtype=np.float64),
             skipped=int(state["skipped"]),
         )
-        prev = None
-        if int(state["has_prev"]):
-            prev = (int(state["prev_x"]), int(state["prev_y"]))
-        return cls(deltas=deltas, prev=prev, steps_done=int(state["steps_done"]))
+        return cls(deltas=deltas, steps_done=int(state["steps_done"]))
 
 
 def delta_phi_histogram(d_phi: np.ndarray, bin_count: int):

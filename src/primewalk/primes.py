@@ -82,6 +82,8 @@ def _per_segment(
     With threads > 1 a pool sieves ahead, but at most threads + 1 segments
     are in flight, so finished results never pile up behind a slow consumer.
     """
+    if segment_flags < 1:
+        raise ValueError(f"segment_flags must be >= 1, got {segment_flags}")
     if limit < 2 or limit < start:
         return
     base = base_primes(math.isqrt(limit))

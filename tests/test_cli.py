@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,10 @@ from primewalk.checkpoint import (
     write_checkpoint,
 )
 from primewalk.cli import EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, main, parse_number
+from primewalk.grid import GridObserver
+from primewalk.polar import PolarObserver
+from primewalk.runs import RunLengthObserver
+from primewalk.walk import A1, run_walk
 
 CSV_FILES = [
     "area_series.csv",
@@ -60,6 +65,7 @@ class TestCount:
 
     def test_negative_is_usage_error(self, capsys):
         assert run_cli("count", "-5") == EXIT_USAGE
+        assert run_cli("count", "1000", "--threads", "0") == EXIT_USAGE
 
 
 class TestWalkCommand:
@@ -94,12 +100,16 @@ class TestWalkCommand:
                      "polar_deltas.csv", "summary.txt", "checkpoint.pwlk"]:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
-    def test_segment_size_invisible(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run_cli("walk", "--limit", "30000", "--out", a, "--segment-size", "512")
-        run_cli("walk", "--limit", "30000", "--out", b)
-        for name in CSV_FILES:
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    def test_segment_size_invisible(self):
+        small = [GridObserver(), RunLengthObserver(), PolarObserver()]
+        default = [GridObserver(), RunLengthObserver(), PolarObserver()]
+        run_walk(30000, A1, small, segment_flags=256)
+        run_walk(30000, A1, default)
+        for a, b in zip(small, default):
+            sa, sb = a.state(), b.state()
+            assert sa.keys() == sb.keys()
+            for key in sa:
+                assert np.array_equal(sa[key], sb[key]), (type(a).__name__, key)
 
     def test_analyses_subset(self, tmp_path):
         out = tmp_path / "sub"
@@ -141,7 +151,7 @@ class TestResume:
             == EXIT_OK
         )
         for name in ["area_series.csv", "benford.csv", "polar_deltas.csv",
-                     "dphi_hist.csv", "summary.txt"]:
+                     "dphi_hist.csv", "summary.txt", "checkpoint.pwlk"]:
             assert (direct / name).read_bytes() == (resumed / name).read_bytes(), name
 
     def test_resume_backwards_refused(self, tmp_path):
@@ -171,9 +181,25 @@ class TestResume:
         out = tmp_path / "o"
         run_cli("walk", "--limit", "50000", "--out", out)
         ckpt = out / "checkpoint.pwlk"
-        blob = bytearray(ckpt.read_bytes())
-        blob[60] ^= 0xFF
-        ckpt.write_bytes(bytes(blob))
+        good = ckpt.read_bytes()
+        # a flipped payload byte, then an intact file stamped VERSION 1
+        for at, patch in ((60, bytes([good[60] ^ 0xFF])), (4, struct.pack("<I", 1))):
+            blob = bytearray(good)
+            blob[at : at + len(patch)] = patch
+            ckpt.write_bytes(bytes(blob))
+            assert (
+                run_cli("resume", ckpt, "--limit", "100000", "--out", tmp_path / "x")
+                == EXIT_CHECKPOINT
+            )
+
+    @pytest.mark.parametrize("section", ["config", "walk", "grid", "runs", "polar"])
+    def test_missing_section_refused(self, tmp_path, section):
+        out = tmp_path / "o"
+        run_cli("walk", "--limit", "50000", "--out", out)
+        ckpt = out / "checkpoint.pwlk"
+        stored_hash, sections = read_checkpoint(ckpt)
+        del sections[section]
+        write_checkpoint(ckpt, stored_hash, sections)
         assert (
             run_cli("resume", ckpt, "--limit", "100000", "--out", tmp_path / "x")
             == EXIT_CHECKPOINT
@@ -192,7 +218,8 @@ class TestCheckpointFormat:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "c.pwlk"
         sections = {
-            "a": {"x": 7, "f": 2.5, "blob": b"bytes", "arr": np.arange(5, dtype=np.int64)},
+            "a": {"x": 7, "f": 2.5, "blob": b"bytes", "arr": np.arange(5, dtype=np.int64),
+                  "nul": b"ab\x00", "neg": -3},
             "b": {"u": np.array([1, 2], dtype=np.uint64),
                   "d": np.array([0.5, -0.5], dtype=np.float64)},
         }
@@ -202,9 +229,14 @@ class TestCheckpointFormat:
         assert loaded["a"]["x"] == 7
         assert loaded["a"]["f"] == 2.5
         assert loaded["a"]["blob"] == b"bytes"
+        assert loaded["a"]["nul"] == b"ab\x00"
+        assert loaded["a"]["neg"] == -3
         assert loaded["a"]["arr"].tolist() == [0, 1, 2, 3, 4]
         assert loaded["b"]["u"].dtype == np.uint64
         assert loaded["b"]["d"].tolist() == [0.5, -0.5]
+        # a uint8 array would read back as bytes, so it is refused
+        with pytest.raises(TypeError, match="a/digits"):
+            write_checkpoint(path, b"\x01" * 32, {"a": {"digits": np.zeros(2, np.uint8)}})
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "c.pwlk"

@@ -88,6 +88,8 @@ class TestLinearFit:
     @settings(max_examples=60, deadline=None)
     # an exact fit: both stderrs are rounding noise, 1.26e-12 apart
     @example(points=[(0.0, 0.0), (0.0, 0.0), (1.25, 9985.0)], c=1.5)
+    # xs far from 0 next to their spread: uncentred residuals cancel
+    @example(points=[(1e6 + 0.25, 0.0), (1e6 + 0.59, 0.0), (1e6 + 1.37, 5.0)], c=5.2)
     def test_scale_equivariance(self, points, c):
         xs = [p[0] for p in points]
         ys = [p[1] for p in points]

@@ -9,7 +9,9 @@ from primewalk.grid import (
     VisitMap,
     checkpoint_schedule,
     pack_arrays,
+    pack_xy,
     recurrence_report,
+    unpack_key,
 )
 from primewalk.walk import A1, run_walk
 
@@ -71,6 +73,24 @@ class TestVisitMap:
             record_step(b, x, y)
         assert list(a.items()) == list(b.items())
         assert a.area == b.area
+
+    def test_pack_range_guard(self):
+        top = (1 << 31) - 1
+        assert unpack_key(pack_xy(top, -top - 1)) == (top, -top - 1)
+        with pytest.raises(ValueError, match="x coordinate 2147483648"):
+            pack_xy(top + 1, 0)
+        with pytest.raises(ValueError, match="y coordinate -2147483649"):
+            pack_arrays(np.array([0, 1]), np.array([-top - 2, 0]))
+
+    def test_observer_batch_near_range_edge(self):
+        g = GridObserver()
+        x0 = (1 << 31) - 3
+        ys = np.zeros(2, dtype=np.int64)
+        # ends on 2^31 - 1, the last packable x
+        g.observe(None, None, x0 + np.arange(1, 3), ys, x0, 0)
+        assert g.vmap.count_at((1 << 31) - 1, 0) == 1
+        with pytest.raises(ValueError, match="x coordinate 2147483648"):
+            g.observe(None, None, np.array([1 << 31]), ys[:1], x0 + 2, 0)
 
     def test_state_roundtrip(self):
         m = VisitMap()

@@ -119,6 +119,13 @@ class TestCountWalkPrimes:
         # pi(10^6) = 78,498; minus the primes 2 and 5
         assert count_walk_primes(10**6) == 78_496
 
+    @pytest.mark.parametrize("flags", [0, -5])
+    def test_bad_segment_size_rejected(self, flags):
+        with pytest.raises(ValueError, match="segment_flags"):
+            count_walk_primes(1000, segment_flags=flags)
+        with pytest.raises(ValueError, match="segment_flags"):
+            list(iter_walk_prime_arrays(1000, segment_flags=flags))
+
     def test_threads_agree(self):
         assert count_walk_primes(10**6, threads=3) == 78_496
         assert count_walk_primes(10**6, segment_flags=1 << 12) == 78_496
