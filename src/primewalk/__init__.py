@@ -7,7 +7,6 @@ from .polar import (
     PolarObserver,
     box_counting_dimension,
     delta_phi_histogram,
-    delta_series,
     to_polar,
 )
 from .primes import base_primes, count_walk_primes, iter_walk_prime_arrays
@@ -48,7 +47,6 @@ __all__ = [
     "box_counting_dimension",
     "count_walk_primes",
     "delta_phi_histogram",
-    "delta_series",
     "fit_area_growth",
     "iter_walk_prime_arrays",
     "leading_digit",

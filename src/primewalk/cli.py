@@ -22,7 +22,6 @@ EXIT_IO = 2
 EXIT_CHECKPOINT = 3
 
 ALL_ANALYSES = ("area", "runs", "benford", "polar", "recurrence")
-DPHI_BINS = 100
 
 
 class UsageError(Exception):
@@ -43,10 +42,9 @@ def parse_number(text: str) -> int:
 
 @dataclass
 class RunConfig:
-    limit: int = 0
+    limit: int = 0  # N for the prime rules, the step count for rw
     rule: str = "a1"
     seed: int = 0
-    steps: int = 0  # rw only
     checkpoint_factor: float = 1.25
     out_dir: Path = Path(".")
     analyses: tuple = ALL_ANALYSES
@@ -169,9 +167,7 @@ def write_outputs(cfg: RunConfig, analyzers: Analyzers, summary, out_dir: Path):
 
     p = analyzers.polar_obs
     if p is not None:
-        p.deltas.write_csv(out_dir / "polar_deltas.csv")
-        edges, counts = polar.delta_phi_histogram(p.deltas.d_phi, DPHI_BINS)
-        polar.write_dphi_hist_csv(edges, counts, out_dir / "dphi_hist.csv")
+        p.deltas.write_csv(out_dir / "dphi_hist.csv")
         lines.append(("polar_samples", len(p.deltas)))
         lines.append(("polar_skipped", p.deltas.skipped))
 
@@ -221,7 +217,7 @@ def execute_walk(
     analyzers = build_analyzers(cfg, sections)
     observers = analyzers.observers()
     if cfg.rule == "rw":
-        summary = run_random_walk(cfg.steps, cfg.seed, observers, state=state)
+        summary = run_random_walk(cfg.limit, cfg.seed, observers, state=state)
     else:
         start = state.last_n + 1 if state else 2
         summary = run_walk(
@@ -248,7 +244,7 @@ def resume_walk(path, target: int, **runtime) -> int:
     if hashlib.sha256(raw).digest() != stored_hash:
         raise CheckpointError("checkpoint config hash mismatch")
     # the checkpoint owns the run identity; a tampered one fails the hash above
-    cfg = RunConfig(limit=target, steps=target, **runtime, **json.loads(raw))
+    cfg = RunConfig(limit=target, **runtime, **json.loads(raw))
     state = _restore(sections, "walk", _walk_state)
     if target <= state.last_n:
         raise CheckpointError(
@@ -258,10 +254,12 @@ def resume_walk(path, target: int, **runtime) -> int:
 
 
 def _add_walk_flags(p: argparse.ArgumentParser):
-    p.add_argument("--limit", default="0", help="scan integers up to this N")
+    p.add_argument(
+        "--limit", "--steps", dest="limit", default="0",
+        help="scan integers up to this N (for rw: the step count)",
+    )
     p.add_argument("--rule", default="a1", choices=(*RULES, "rw"))
     p.add_argument("--seed", default="0", help="random baseline seed")
-    p.add_argument("--steps", default="0", help="random baseline step count")
     p.add_argument("--checkpoint-factor", type=float, default=1.25)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument(
@@ -278,7 +276,6 @@ def _config_from_args(args) -> RunConfig:
         limit=parse_number(args.limit),
         rule=args.rule,
         seed=parse_number(args.seed),
-        steps=parse_number(args.steps),
         checkpoint_factor=args.checkpoint_factor,
         out_dir=Path(args.out),
         analyses=tuple(s for s in args.analyses.split(",") if s),

@@ -7,6 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from primewalk.grid import pack_xy
+from primewalk.polar import wrap_angle
 from primewalk.primes import DEFAULT_SEGMENT_FLAGS, WALK_DIGITS, iter_walk_prime_arrays
 from primewalk.walk import PEARSON_DIRECTIONS, Direction, WalkObserver, WalkRule, WalkState
 
@@ -111,3 +112,41 @@ class ScalarRuns:
             self._commit()
             self.digit, self.length = None, 0
         return self.counts
+
+
+class PathRecorder(WalkObserver):
+    """Keeps the whole trajectory, origin first, as a list of (x, y)."""
+
+    def __init__(self):
+        self.path = [(0, 0)]
+
+    def observe(self, primes, digits, xs, ys, x0, y0):
+        self.path.extend(zip(xs.tolist(), ys.tolist()))
+
+
+class DeltaCloud(NamedTuple):
+    steps: np.ndarray
+    d_r: np.ndarray
+    d_phi: np.ndarray
+    skipped: int
+
+    def __len__(self):
+        return len(self.steps)
+
+
+def delta_series(positions) -> DeltaCloud:
+    """Post-hoc polar increments of a whole trajectory (iterable of (x, y)).
+
+    Step i pairs positions i-1 and i; pairs touching the origin are skipped.
+    """
+    pts = np.asarray(list(positions), dtype=np.int64).reshape(-1, 2)
+    xs, ys = pts[:, 0], pts[:, 1]
+    r = np.hypot(xs, ys)
+    phi = np.arctan2(ys, xs)
+    keep = (r[:-1] > 0) & (r[1:] > 0)
+    return DeltaCloud(
+        steps=np.flatnonzero(keep) + 1,
+        d_r=np.diff(r)[keep],
+        d_phi=wrap_angle(np.diff(phi)[keep]),
+        skipped=int(len(keep) - keep.sum()),
+    )

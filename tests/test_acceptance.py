@@ -25,7 +25,7 @@ from primewalk.primes import count_walk_primes, iter_walk_prime_arrays
 from primewalk.runs import RunLengthObserver, short_run_fraction
 from primewalk.walk import A1, A2, A3, WalkSession, run_random_walk, run_walk
 
-from conftest import StepObserver
+from conftest import PathRecorder, StepObserver, delta_series
 
 LIMIT_1E9 = 10**9
 BENFORD_MAX_ABS_DEV = 0.04  # frozen after the calibration run at these scales
@@ -177,15 +177,22 @@ class TestCriterion5Benford:
 
 class TestCriterion6PolarInvariants:
     def test_deltas_at_1e6(self):
-        obs = PolarObserver()
-        summary = run_walk(10**6, A1, [obs])
-        d = obs.deltas
+        rec, obs = PathRecorder(), PolarObserver()
+        summary = run_walk(10**6, A1, [rec, obs])
+        d = delta_series(rec.path)
         ok = bool(np.all(np.abs(d.d_r) <= 1.0 + 1e-12))
         report("6a", ok, f"|dR| <= 1 over {len(d)} samples")
         ok = bool(np.all((d.d_phi > -np.pi) & (d.d_phi <= np.pi)))
         report("6b", ok, "dphi in (-pi, pi]")
-        ok = len(d) + d.skipped == summary.steps_taken
-        report("6c", ok, f"{len(d)} samples + {d.skipped} skipped == {summary.steps_taken} steps")
+        ok = (
+            len(d) + d.skipped == summary.steps_taken
+            and (len(obs.deltas), obs.deltas.skipped) == (len(d), d.skipped)
+        )
+        report(
+            "6c", ok,
+            f"{len(d)} samples + {d.skipped} skipped == {summary.steps_taken} steps, "
+            f"as streamed into the dphi histogram",
+        )
 
     def test_box_counting_oracles(self):
         t = np.linspace(0, 1, 10_000)
@@ -198,8 +205,7 @@ class TestCriterion6PolarInvariants:
 
 
 class TestCriterion7DeterminismAndResume:
-    CSVS = ["area_series.csv", "runs.csv", "benford.csv", "polar_deltas.csv",
-            "dphi_hist.csv"]
+    CSVS = ["area_series.csv", "runs.csv", "benford.csv", "dphi_hist.csv"]
 
     def test_identical_runs_bytewise(self, tmp_path):
         for out in ("a", "b"):

@@ -20,7 +20,6 @@ CSV_FILES = [
     "area_series.csv",
     "runs.csv",
     "benford.csv",
-    "polar_deltas.csv",
     "dphi_hist.csv",
 ]
 
@@ -97,7 +96,7 @@ class TestWalkCommand:
                 == EXIT_OK
             )
         for name in ["area_series.csv", "benford.csv", "dphi_hist.csv",
-                     "polar_deltas.csv", "summary.txt", "checkpoint.pwlk"]:
+                     "summary.txt", "checkpoint.pwlk"]:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_segment_size_invisible(self):
@@ -117,7 +116,23 @@ class TestWalkCommand:
         assert (out / "area_series.csv").exists()
         assert (out / "runs.csv").exists()
         assert not (out / "benford.csv").exists()
-        assert not (out / "polar_deltas.csv").exists()
+        assert not (out / "dphi_hist.csv").exists()
+
+    def test_limit_is_rw_step_count(self, tmp_path):
+        out = tmp_path / "rw"
+        assert run_cli("walk", "--rule", "rw", "--limit", "1e5", "--out", out) == EXIT_OK
+        assert read_summary(out)["n_p"] == "100000"
+
+    def test_steps_is_prime_limit(self, tmp_path):
+        out = tmp_path / "a1"
+        assert run_cli("walk", "--rule", "a1", "--steps", "1000", "--out", out) == EXIT_OK
+        summary = read_summary(out)
+        assert (summary["n"], summary["n_p"]) == ("1000", "166")
+
+    def test_negative_steps_is_usage_error(self, tmp_path):
+        out = tmp_path / "neg"
+        assert run_cli("walk", "--rule", "rw", "--steps", "-5", "--out", out) == EXIT_USAGE
+        assert not out.exists()
 
     def test_visits_export(self, tmp_path):
         out = tmp_path / "v"
@@ -150,8 +165,8 @@ class TestResume:
                     "--out", resumed)
             == EXIT_OK
         )
-        for name in ["area_series.csv", "benford.csv", "polar_deltas.csv",
-                     "dphi_hist.csv", "summary.txt", "checkpoint.pwlk"]:
+        for name in ["area_series.csv", "benford.csv", "dphi_hist.csv",
+                     "summary.txt", "checkpoint.pwlk"]:
             assert (direct / name).read_bytes() == (resumed / name).read_bytes(), name
 
     def test_resume_backwards_refused(self, tmp_path):
@@ -192,13 +207,19 @@ class TestResume:
                 == EXIT_CHECKPOINT
             )
 
-    @pytest.mark.parametrize("section", ["config", "walk", "grid", "runs", "polar"])
+    @pytest.mark.parametrize(
+        "section", ["config", "walk", "grid", "runs", "polar", "polar/counts"]
+    )
     def test_missing_section_refused(self, tmp_path, section):
         out = tmp_path / "o"
         run_cli("walk", "--limit", "50000", "--out", out)
         ckpt = out / "checkpoint.pwlk"
         stored_hash, sections = read_checkpoint(ckpt)
-        del sections[section]
+        if section == "polar/counts":  # the per-sample layout of earlier releases
+            sections["polar"] = {"steps": np.arange(3), "d_r": np.zeros(3),
+                                 "d_phi": np.zeros(3), "skipped": 0, "steps_done": 3}
+        else:
+            del sections[section]
         write_checkpoint(ckpt, stored_hash, sections)
         assert (
             run_cli("resume", ckpt, "--limit", "100000", "--out", tmp_path / "x")

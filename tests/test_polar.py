@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primewalk.polar import (
+    DPHI_BINS,
     PolarObserver,
     box_counting_dimension,
     delta_phi_histogram,
-    delta_series,
     to_polar,
     wrap_angle,
 )
-from primewalk.walk import A1, WalkObserver, run_walk
+from primewalk.walk import A1, run_random_walk, run_walk
+
+from conftest import PathRecorder, delta_series
 
 
 class TestToPolar:
@@ -83,37 +85,47 @@ class TestDeltaSeries:
         assert -math.pi < w <= math.pi + 1e-15
 
 
+def assert_matches_posthoc_series(walk):
+    rec = PathRecorder()
+    obs = PolarObserver()
+    walk([rec, obs])
+    post = delta_series(rec.path)
+    _, counts = delta_phi_histogram(post.d_phi, DPHI_BINS)
+    assert np.array_equal(obs.deltas.counts, counts)
+    assert obs.deltas.skipped == post.skipped
+    assert len(obs.deltas) == len(post)
+
+
 class TestPolarObserver:
     def test_matches_posthoc_series(self):
-        class Recorder(WalkObserver):
-            def __init__(self):
-                self.path = [(0, 0)]
+        assert_matches_posthoc_series(lambda obs: run_walk(50_000, A1, obs, segment_flags=256))
 
-            def observe(self, primes, digits, xs, ys, x0, y0):
-                self.path.extend(zip(xs.tolist(), ys.tolist()))
-
-        rec = Recorder()
-        obs = PolarObserver()
-        run_walk(50_000, A1, [rec, obs], segment_flags=256)
-        obs._flush()
-        post = delta_series(rec.path)
-        assert np.array_equal(obs.deltas.steps, post.steps)
-        assert np.array_equal(obs.deltas.d_r, post.d_r)
-        assert np.array_equal(obs.deltas.d_phi, post.d_phi)
-        assert obs.deltas.skipped == post.skipped
+    def test_matches_posthoc_series_rw(self):
+        assert_matches_posthoc_series(
+            lambda obs: run_random_walk(30_000, 5, obs, batch_size=4096)
+        )
 
     def test_sample_accounting(self):
         obs = PolarObserver()
         summary = run_walk(10_000, A1, [obs])
-        obs._flush()
         assert len(obs.deltas) + obs.deltas.skipped == summary.steps_taken
 
     def test_state_roundtrip(self):
         obs = PolarObserver()
         run_walk(1000, A1, [obs])
         restored = PolarObserver.from_state(obs.state())
-        assert np.array_equal(restored.deltas.d_r, obs.deltas.d_r)
+        assert np.array_equal(restored.deltas.counts, obs.deltas.counts)
         assert restored.deltas.skipped == obs.deltas.skipped
+        run_walk(2000, A1, [restored])
+        assert len(restored.deltas) > len(obs.deltas)  # no shared counts
+
+    def test_state_size_constant(self):
+        def shape(limit):
+            obs = PolarObserver()
+            run_walk(limit, A1, [obs])
+            return {k: np.shape(v) for k, v in obs.state().items()}
+
+        assert shape(10**4) == shape(10**6) == {"counts": (DPHI_BINS,), "skipped": ()}
 
 
 class TestDeltaPhiHistogram:
@@ -140,6 +152,11 @@ class TestDeltaPhiHistogram:
     def test_bad_bins(self):
         with pytest.raises(ValueError):
             delta_phi_histogram(np.array([0.0]), 0)
+
+    @pytest.mark.parametrize("value", [4.0, math.nan, -4.0, -math.pi])
+    def test_out_of_range_refused(self, value):
+        with pytest.raises(ValueError, match="outside"):
+            delta_phi_histogram(np.array([0.0, value]), 4)
 
 
 class TestBoxCounting:
