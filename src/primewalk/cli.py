@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -55,8 +56,12 @@ class RunConfig:
         self.analyses = tuple(self.analyses)
         if self.limit < 0:
             raise UsageError("limit must be >= 0")
-        if self.checkpoint_factor <= 1.0:
-            raise UsageError("checkpoint factor must exceed 1")
+        if not (math.isfinite(self.checkpoint_factor) and self.checkpoint_factor > 1.0):
+            raise UsageError(
+                f"--checkpoint-factor must be finite and exceed 1, got {self.checkpoint_factor}"
+            )
+        if not 0 <= self.seed < 1 << 64:
+            raise UsageError(f"--seed must lie in [0, 2^64), got {self.seed}")
         if self.rule not in (*RULES, "rw"):
             raise UsageError(f"unknown rule {self.rule!r}")
         bad = set(self.analyses) - set(ALL_ANALYSES)
@@ -211,10 +216,11 @@ def save_checkpoint(cfg: RunConfig, analyzers: Analyzers, summary, path):
 
 
 def execute_walk(
-    cfg: RunConfig, sections: dict | None = None, state: WalkState | None = None
+    cfg: RunConfig, analyzers: Analyzers | None = None, state: WalkState | None = None
 ) -> int:
-    """Run cfg from scratch, or continue from `state` and checkpoint `sections`."""
-    analyzers = build_analyzers(cfg, sections)
+    """Run cfg from scratch, or continue from `state` with restored `analyzers`."""
+    if analyzers is None:
+        analyzers = build_analyzers(cfg)
     observers = analyzers.observers()
     if cfg.rule == "rw":
         summary = run_random_walk(cfg.limit, cfg.seed, observers, state=state)
@@ -250,7 +256,9 @@ def resume_walk(path, target: int, **runtime) -> int:
         raise CheckpointError(
             f"new limit {target} must exceed checkpointed progress {state.last_n}"
         )
-    return execute_walk(cfg, sections, state)
+    analyzers = build_analyzers(cfg, sections)
+    del sections  # the analyzers hold copies; free the restored arrays
+    return execute_walk(cfg, analyzers, state)
 
 
 def _add_walk_flags(p: argparse.ArgumentParser):

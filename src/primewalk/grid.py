@@ -1,7 +1,8 @@
 """Sparse visit-count field, covered-area series and recurrence reporting.
 
 The visit map stores z(x, y), the number of arrivals at each lattice cell,
-as parallel sorted arrays keyed by a packed 64-bit (x, y).  The origin is
+in dense tiles located by a sorted tile index; cells are keyed by a packed
+64-bit (x, y) and listed in packed-key order.  The origin is
 part of the covered area from step zero even when no step ever returns to
 it, so `area` can exceed the number of stored cells by one.
 """
@@ -44,16 +45,46 @@ def unpack_key(key: int) -> tuple[int, int]:
     return (int(key) >> 32) - _OFFSET, (int(key) & 0xFFFFFFFF) - _OFFSET
 
 
+_SIDE = 64  # tile edge; the tile of packed (X, Y) is (X >> 6, Y >> 6)
+_TILE = _SIDE * _SIDE
+_ROW_MASK = (1 << 26) - 1
+_COUNT_MAX = np.iinfo(np.int32).max
+_RESTORE_CHUNK = 1 << 20
+
+
+def _tile_ids(keys: np.ndarray) -> np.ndarray:
+    return ((keys >> np.uint64(38)) << np.uint64(26)) | (
+        (keys >> np.uint64(6)) & np.uint64(_ROW_MASK)
+    )
+
+
+def _tile_offsets(keys: np.ndarray) -> np.ndarray:
+    """Row-major (X & 63, Y & 63) offset of each key inside its tile."""
+    k = keys.view(np.int64)
+    return ((k >> 26) & 0xFC0) | (k & 63)
+
+
 class VisitMap:
-    """Sparse z(x, y) counts over visited lattice cells."""
+    """Sparse z(x, y) counts over visited lattice cells.
+
+    Cells live in dense 64x64 int32 tiles, packed one after another into a
+    flat store that grows in place.  A sorted index of tile ids,
+    (X >> 6) << 26 | (Y >> 6) over the packed X and Y, maps each visited
+    tile to its slot in the store, so a batch costs O(batch + tiles it
+    touches) whatever the size of the map, and memory grows with the
+    visited tiles rather than with the bounding box.
+    """
 
     def __init__(self):
-        self._keys = np.empty(0, dtype=np.uint64)
-        self._counts = np.empty(0, dtype=np.int64)
+        self._ids = np.empty(0, dtype=np.uint64)  # sorted tile ids
+        self._slot = np.empty(0, dtype=np.int64)  # store slot of each id
+        self._store = np.zeros(0, dtype=np.int32)  # _TILE cells per slot
+        self._occupied = np.zeros(0, dtype=np.int64)  # nonzero cells per slot
+        self._cells = 0
         self._total = 0
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return self._cells
 
     @property
     def total_visits(self) -> int:
@@ -62,55 +93,127 @@ class VisitMap:
     @property
     def area(self) -> int:
         """Distinct cells ever occupied, origin included."""
-        extra = 0 if self._contains(ORIGIN_KEY) else 1
-        return len(self._keys) + extra
-
-    def _contains(self, key: int) -> bool:
-        i = np.searchsorted(self._keys, np.uint64(key))
-        return i < len(self._keys) and self._keys[i] == np.uint64(key)
+        return self._cells + (0 if self.count_at(0, 0) else 1)
 
     def count_at(self, x: int, y: int) -> int:
-        key = np.uint64(pack_xy(x, y))
-        i = np.searchsorted(self._keys, key)
-        if i < len(self._keys) and self._keys[i] == key:
-            return int(self._counts[i])
-        return 0
+        return int(self._lookup(np.array([pack_xy(x, y)], dtype=np.uint64))[0])
+
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Current counts of `keys` (0 where the tile was never visited)."""
+        if len(self._ids) == 0:
+            return np.zeros(len(keys), dtype=np.int64)
+        tids = _tile_ids(keys)
+        pos = np.minimum(np.searchsorted(self._ids, tids), len(self._ids) - 1)
+        flat = self._slot[pos] * _TILE + _tile_offsets(keys)
+        return np.where(self._ids[pos] == tids, self._store[flat], 0).astype(np.int64)
+
+    def _flat_index(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Store index of each key and the slots it touches; adds missing tiles."""
+        tids = _tile_ids(keys)
+        # a walk stays in one tile for many steps: look up runs, not steps
+        starts = np.flatnonzero(np.concatenate(([True], tids[1:] != tids[:-1])))
+        uniq, run_of = np.unique(tids[starts], return_inverse=True)
+        pos = np.searchsorted(self._ids, uniq)
+        hit = pos < len(self._ids)
+        hit[hit] = self._ids[pos[hit]] == uniq[hit]
+        new = ~hit
+        if new.any():
+            first = len(self._ids)
+            slots = np.arange(first, first + int(new.sum()), dtype=np.int64)
+            self._ids = np.insert(self._ids, pos[new], uniq[new])
+            self._slot = np.insert(self._slot, pos[new], slots)
+            self._reserve(len(self._ids))
+            pos = pos + np.cumsum(new) - new  # positions after the insert
+        touched = self._slot[pos]
+        lengths = np.diff(np.append(starts, len(keys)))
+        flat = np.repeat(touched[run_of] * _TILE, lengths) + _tile_offsets(keys)
+        return flat, touched
+
+    def _reserve(self, tiles: int) -> None:
+        if tiles > len(self._occupied):
+            cap = max(tiles, int(len(self._occupied) * 1.25))
+            # in place: no view of either array outlives a method call
+            self._store.resize(cap * _TILE, refcheck=False)
+            self._occupied.resize(cap, refcheck=False)
+
+    def _recount(self, slots: np.ndarray) -> None:
+        """Refresh the occupied-cell counts of the distinct tiles in `slots`."""
+        occupied = np.count_nonzero(self._store.reshape(-1, _TILE)[slots], axis=1)
+        self._cells += int(occupied.sum() - self._occupied[slots].sum())
+        self._occupied[slots] = occupied
+
+    def _check_overflow(self, keys: np.ndarray) -> None:
+        uniq, cnt = np.unique(keys, return_counts=True)
+        over = np.flatnonzero(self._lookup(uniq) + cnt > _COUNT_MAX)
+        if len(over):
+            x, y = unpack_key(uniq[over[0]])
+            raise ValueError(f"visit count at ({x}, {y}) would pass {_COUNT_MAX}")
 
     def record_keys(self, keys: np.ndarray) -> None:
         """Merge a batch of packed arrival keys into the map."""
         if len(keys) == 0:
             return
-        uniq, cnt = np.unique(keys, return_counts=True)
-        pos = np.searchsorted(self._keys, uniq)
-        hit = np.zeros(len(uniq), dtype=bool)
-        inside = pos < len(self._keys)
-        hit[inside] = self._keys[pos[inside]] == uniq[inside]
-        self._counts[pos[hit]] += cnt[hit]
-        if not hit.all():
-            new = ~hit
-            self._keys = np.insert(self._keys, pos[new], uniq[new])
-            self._counts = np.insert(self._counts, pos[new], cnt[new])
-        self._total += int(cnt.sum())
+        keys = np.asarray(keys, dtype=np.uint64)
+        # no cell can pass the cap before the total does
+        if self._total + len(keys) > _COUNT_MAX:
+            self._check_overflow(keys)
+        flat, touched = self._flat_index(keys)
+        # an int32 increment keeps add.at on its fast path (~15x faster)
+        np.add.at(self._store, flat, np.int32(1))
+        self._recount(touched)
+        self._total += len(keys)
 
     def z_values(self) -> np.ndarray:
         """All positive visit counts, order unspecified; sums to total_visits."""
-        return self._counts.copy()
+        return self._store[self._store > 0].astype(np.int64)
+
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, counts) of every occupied cell, in packed-key order."""
+        keys = np.empty(self._cells, dtype=np.uint64)
+        counts = np.empty(self._cells, dtype=np.int64)
+        tiles = self._store.reshape(-1, _SIDE, _SIDE)
+        cols = self._ids >> np.uint64(26)
+        bounds = np.flatnonzero(np.diff(cols)) + 1
+        edges = [0, *bounds.tolist(), len(cols)] if len(cols) else []
+        o = 0
+        for a, b in zip(edges, edges[1:]):
+            # (tile, lx, ly) -> (lx, tile, ly): packed-key order in the column
+            block = tiles[self._slot[a:b]].transpose(1, 0, 2).ravel()
+            nz = np.flatnonzero(block)
+            lx, rest = np.divmod(nz, (b - a) * _SIDE)
+            tile, ly = np.divmod(rest, _SIDE)
+            x = (cols[a] << np.uint64(6)) + lx.astype(np.uint64)
+            rows = (self._ids[a:b] & np.uint64(_ROW_MASK)) << np.uint64(6)
+            y = rows[tile] + ly.astype(np.uint64)
+            keys[o : o + len(nz)] = (x << np.uint64(32)) | y
+            counts[o : o + len(nz)] = block[nz]
+            o += len(nz)
+        return keys, counts
 
     def items(self):
         """Yield (x, y, count) in packed-key order."""
-        for key, c in zip(self._keys.tolist(), self._counts.tolist()):
+        keys, counts = self.cells()
+        for key, c in zip(keys.tolist(), counts.tolist()):
             x, y = unpack_key(key)
-            yield x, y, int(c)
+            yield x, y, c
 
     # checkpoint support
     def state(self) -> dict:
-        return {"keys": self._keys, "counts": self._counts, "total": self._total}
+        keys, counts = self.cells()
+        return {"keys": keys, "counts": counts, "total": self._total}
 
     @classmethod
     def from_state(cls, state: dict) -> "VisitMap":
         m = cls()
-        m._keys = np.asarray(state["keys"], dtype=np.uint64)
-        m._counts = np.asarray(state["counts"], dtype=np.int64)
+        keys = np.asarray(state["keys"], dtype=np.uint64)
+        counts = np.asarray(state["counts"])
+        if len(counts) and int(counts.max()) > _COUNT_MAX:
+            x, y = unpack_key(keys[counts.argmax()])
+            raise ValueError(f"visit count at ({x}, {y}) passes {_COUNT_MAX}")
+        for i in range(0, len(keys), _RESTORE_CHUNK):
+            flat, touched = m._flat_index(keys[i : i + _RESTORE_CHUNK])
+            m._store[flat] = counts[i : i + _RESTORE_CHUNK]
+            m._recount(touched)
         m._total = int(state["total"])
         return m
 
@@ -185,24 +288,28 @@ def recurrence_report(vmap: VisitMap) -> RecurrenceReport:
     """
     if vmap.total_visits == 0:
         raise ValueError("recurrence report needs at least one recorded step")
-    counts = vmap._counts
-    keys = vmap._keys
+    keys, counts = vmap.cells()
     zmax = int(counts.max())
     cand = keys[np.flatnonzero(counts == zmax)]
+    del counts
     xs = (cand >> np.uint64(32)).astype(np.int64) - _OFFSET
     ys = (cand & np.uint64(0xFFFFFFFF)).astype(np.int64) - _OFFSET
     order = np.lexsort((ys, xs, xs * xs + ys * ys))
     bx, by = int(xs[order[0]]), int(ys[order[0]])
 
-    ax = (keys >> np.uint64(32)).astype(np.int64) - _OFFSET
-    ay = (keys & np.uint64(0xFFFFFFFF)).astype(np.int64) - _OFFSET
-    on_origin = (ax == 0) & (ay == 0)
-    q1 = int(np.count_nonzero((ax > 0) & (ay > 0)))
-    q2 = int(np.count_nonzero((ax < 0) & (ay > 0)))
-    q3 = int(np.count_nonzero((ax < 0) & (ay < 0)))
-    q4 = int(np.count_nonzero((ax > 0) & (ay < 0)))
-    on_x_axis = int(np.count_nonzero((ay == 0) & ~on_origin))
-    on_y_axis = int(np.count_nonzero((ax == 0) & ~on_origin))
+    # signs from the packed halves (X, Y = coordinate + 2^31), one buffer
+    half = keys >> np.uint64(32)
+    x_pos, x_neg = half > _OFFSET, half < _OFFSET
+    np.bitwise_and(keys, np.uint64(0xFFFFFFFF), out=half)
+    y_pos, y_neg = half > _OFFSET, half < _OFFSET
+    del keys, half
+    x_zero, y_zero = ~(x_pos | x_neg), ~(y_pos | y_neg)
+    q1 = int(np.count_nonzero(x_pos & y_pos))
+    q2 = int(np.count_nonzero(x_neg & y_pos))
+    q3 = int(np.count_nonzero(x_neg & y_neg))
+    q4 = int(np.count_nonzero(x_pos & y_neg))
+    on_x_axis = int(np.count_nonzero(y_zero & ~x_zero))
+    on_y_axis = int(np.count_nonzero(x_zero & ~y_zero))
     return RecurrenceReport(
         argmax_x=bx,
         argmax_y=by,

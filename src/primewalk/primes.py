@@ -16,7 +16,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 # Odd-number flags per segment; one segment then spans twice as many integers.
-DEFAULT_SEGMENT_FLAGS = 1 << 22
+DEFAULT_SEGMENT_FLAGS = 1 << 20
 
 WALK_DIGITS = (1, 3, 7, 9)
 
@@ -43,18 +43,15 @@ def _walk_flags(lo: int, hi: int, base: np.ndarray) -> tuple[int, np.ndarray]:
     if count <= 0:
         return first_odd, np.zeros(0, dtype=bool)
     flags = np.ones(count, dtype=bool)
-    for p in base:
-        p = int(p)
-        if p == 2:
-            continue
-        if p * p >= hi:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start % 2 == 0:
-            start += p
-        if start >= hi:
-            continue
-        flags[(start - first_odd) // 2 :: p] = False
+    # base[0] is 2; strike each odd base prime p with p * p < hi from its
+    # first odd multiple that is >= max(p * p, lo)
+    ps = base[1 : np.searchsorted(base, math.isqrt(hi - 1), side="right")]
+    start = np.maximum(ps * ps, -(-lo // ps) * ps)
+    start += ps * (start % 2 == 0)
+    live = start < hi
+    offsets = ((start[live] - first_odd) // 2).tolist()
+    for s, p in zip(offsets, ps[live].tolist()):
+        flags[s::p] = False
     if lo <= 5 < hi:
         flags[(5 - first_odd) // 2] = False
     return first_odd, flags

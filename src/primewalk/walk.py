@@ -216,7 +216,7 @@ def run_random_walk(
     seed: int,
     observers: Sequence[WalkObserver] = (),
     *,
-    batch_size: int = 1 << 21,
+    batch_size: int = 1 << 16,
     state: WalkState | None = None,
 ) -> WalkState:
     """Execute `steps` uniform four-direction moves from the seeded source.

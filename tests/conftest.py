@@ -6,7 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from primewalk.grid import pack_xy
+from primewalk.grid import ORIGIN_KEY, pack_xy, unpack_key
 from primewalk.polar import wrap_angle
 from primewalk.primes import DEFAULT_SEGMENT_FLAGS, WALK_DIGITS, iter_walk_prime_arrays
 from primewalk.walk import PEARSON_DIRECTIONS, Direction, WalkObserver, WalkRule, WalkState
@@ -83,6 +83,60 @@ def pearson_direction(r: float) -> Direction:
 def record_step(vmap, x: int, y: int) -> None:
     """Record one arrival at (x, y) in a VisitMap."""
     vmap.record_keys(np.array([pack_xy(x, y)], dtype=np.uint64))
+
+
+class SortedVisitMap:
+    """Visit-map oracle: parallel sorted key/count arrays, merged per batch."""
+
+    def __init__(self):
+        self._keys = np.empty(0, dtype=np.uint64)
+        self._counts = np.empty(0, dtype=np.int64)
+        self._total = 0
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    @property
+    def total_visits(self) -> int:
+        return self._total
+
+    @property
+    def area(self) -> int:
+        return len(self._keys) + (0 if self._index(ORIGIN_KEY) is not None else 1)
+
+    def _index(self, key: int):
+        i = int(np.searchsorted(self._keys, np.uint64(key)))
+        if i < len(self._keys) and self._keys[i] == np.uint64(key):
+            return i
+        return None
+
+    def count_at(self, x: int, y: int) -> int:
+        i = self._index(pack_xy(x, y))
+        return 0 if i is None else int(self._counts[i])
+
+    def record_keys(self, keys: np.ndarray) -> None:
+        if len(keys) == 0:
+            return
+        uniq, cnt = np.unique(keys, return_counts=True)
+        pos = np.searchsorted(self._keys, uniq)
+        hit = np.zeros(len(uniq), dtype=bool)
+        inside = pos < len(self._keys)
+        hit[inside] = self._keys[pos[inside]] == uniq[inside]
+        self._counts[pos[hit]] += cnt[hit]
+        new = ~hit
+        self._keys = np.insert(self._keys, pos[new], uniq[new])
+        self._counts = np.insert(self._counts, pos[new], cnt[new])
+        self._total += int(cnt.sum())
+
+    def z_values(self) -> np.ndarray:
+        return self._counts.copy()
+
+    def items(self):
+        for key, c in zip(self._keys.tolist(), self._counts.tolist()):
+            yield (*unpack_key(key), c)
+
+    def state(self) -> dict:
+        return {"keys": self._keys, "counts": self._counts, "total": self._total}
 
 
 class ScalarRuns:

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from primewalk import checkpoint
 from primewalk.checkpoint import (
     CheckpointError,
     read_checkpoint,
@@ -134,6 +135,22 @@ class TestWalkCommand:
         assert run_cli("walk", "--rule", "rw", "--steps", "-5", "--out", out) == EXIT_USAGE
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--checkpoint-factor", "nan"),
+            ("--checkpoint-factor", "inf"),
+            ("--seed", "-1"),
+            ("--seed", str(1 << 64)),
+        ],
+    )
+    def test_out_of_range_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "bad"
+        args = ("walk", "--rule", "rw", "--steps", "100", flag, value, "--out", out)
+        assert run_cli(*args) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_visits_export(self, tmp_path):
         out = tmp_path / "v"
         run_cli("walk", "--limit", "100", "--out", out, "--export-visits")
@@ -258,6 +275,23 @@ class TestCheckpointFormat:
         # a uint8 array would read back as bytes, so it is refused
         with pytest.raises(TypeError, match="a/digits"):
             write_checkpoint(path, b"\x01" * 32, {"a": {"digits": np.zeros(2, np.uint8)}})
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.pwlk"
+        write_checkpoint(path, b"\x00" * 32, {"s": {"v": 1}})
+        good = path.read_bytes()
+        encode = checkpoint._encode
+
+        def failing(name, v):
+            if name == "s/b":
+                raise RuntimeError("disk full")
+            return encode(name, v)
+
+        monkeypatch.setattr(checkpoint, "_encode", failing)
+        with pytest.raises(RuntimeError, match="disk full"):
+            write_checkpoint(path, b"\x00" * 32, {"s": {"a": np.arange(4), "b": 2}})
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["c.pwlk"]
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "c.pwlk"

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primewalk import grid
 from primewalk.grid import (
     AreaSeries,
     GridObserver,
@@ -13,9 +16,39 @@ from primewalk.grid import (
     recurrence_report,
     unpack_key,
 )
-from primewalk.walk import A1, run_walk
+from primewalk.walk import A1, run_random_walk, run_walk
 
-from conftest import StepObserver, record_step
+from conftest import SortedVisitMap, StepObserver, record_step
+
+TOP = (1 << 31) - 1
+# repeated cells, cells across tile edges, and the ends of the packable range
+COORD = st.one_of(
+    st.integers(-2, 2),
+    st.integers(-70, 70),
+    st.integers(-(1 << 31), -(1 << 31) + 70),
+    st.integers(TOP - 70, TOP),
+)
+BATCHES = st.lists(st.lists(st.tuples(COORD, COORD), max_size=60), max_size=8)
+
+
+def _keys(cells):
+    xs = np.array([x for x, _ in cells], dtype=np.int64)
+    ys = np.array([y for _, y in cells], dtype=np.int64)
+    return pack_arrays(xs, ys)
+
+
+def assert_same_map(m, oracle):
+    got, want = m.state(), oracle.state()
+    assert got.keys() == want.keys()
+    for k in want:
+        assert np.array_equal(got[k], want[k]), k
+        assert np.asarray(got[k]).dtype == np.asarray(want[k]).dtype, k
+    assert list(m.items()) == list(oracle.items())
+    assert (len(m), m.area, m.total_visits) == (len(oracle), oracle.area, oracle.total_visits)
+    assert sorted(m.z_values().tolist()) == sorted(oracle.z_values().tolist())
+    for x, y, c in oracle.items():
+        assert m.count_at(x, y) == c
+    assert m.count_at(0, 0) == oracle.count_at(0, 0)
 
 
 class ReplayRecorder(StepObserver):
@@ -92,6 +125,48 @@ class TestVisitMap:
         with pytest.raises(ValueError, match="x coordinate 2147483648"):
             g.observe(None, None, np.array([1 << 31]), ys[:1], x0 + 2, 0)
 
+    @given(BATCHES)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sorted_oracle(self, batches):
+        m, oracle = VisitMap(), SortedVisitMap()
+        for cells in batches:
+            keys = _keys(cells)
+            m.record_keys(keys)
+            oracle.record_keys(keys)
+        assert_same_map(m, oracle)
+        assert_same_map(VisitMap.from_state(m.state()), oracle)
+
+    def test_far_apart_cells_stay_small(self):
+        cells = [(0, 0), (TOP, -TOP - 1), (-TOP - 1, TOP)]
+        tracemalloc.start()
+        try:
+            m = VisitMap()
+            m.record_keys(_keys(cells))
+            assert m.area == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a directory dense over the bounding box would need ~2^58 entries
+        assert peak < 1 << 20
+        assert sorted(m.items()) == sorted((x, y, 1) for x, y in cells)
+
+    def test_count_overflow_refused(self, monkeypatch):
+        monkeypatch.setattr(grid, "_COUNT_MAX", 5)
+        m = VisitMap()
+        m.record_keys(_keys([(1, 2)] * 3 + [(-4, 7)]))
+        before = m.state()
+        with pytest.raises(ValueError, match=r"\(1, 2\)"):
+            m.record_keys(_keys([(-4, 7), (1, 2), (1, 2), (1, 2), (9, 9)]))
+        after = m.state()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
+        assert (len(m), m.total_visits) == (2, 4)
+        m.record_keys(_keys([(1, 2), (1, 2)]))
+        assert m.count_at(1, 2) == 5
+        state = m.state()
+        state["counts"] = state["counts"] + 1
+        with pytest.raises(ValueError, match=r"\(1, 2\)"):
+            VisitMap.from_state(state)
+
     def test_state_roundtrip(self):
         m = VisitMap()
         record_step(m, 1, 2)
@@ -118,6 +193,14 @@ class TestAreaFromWalks:
         g = GridObserver()
         run_walk(0, A1, [g])
         assert g.vmap.area == 1
+
+    def test_rw_batch_size_invisible(self):
+        small, default = GridObserver(), GridObserver()
+        run_random_walk(300_000, 11, [small], batch_size=4096)
+        run_random_walk(300_000, 11, [default])
+        a, b = small.state(), default.state()
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_streaming_matches_replay_oracle(self):
         g = GridObserver()
