@@ -36,9 +36,23 @@ def parse_number(text: str) -> int:
         value = Decimal(cleaned)
     except InvalidOperation:
         raise UsageError(f"not a number: {text!r}")
+    if not value.is_finite():
+        raise UsageError(f"not a finite number: {text!r}")
     if value != value.to_integral_value():
         raise UsageError(f"expected an integer, got {text!r}")
+    # every number the CLI reads is below 2^64 < 1e20, and int() of a huge
+    # exponent such as 1e1000000 runs for tens of seconds
+    if value.adjusted() >= 20:
+        raise UsageError(f"number too large: {text!r}")
     return int(value)
+
+
+def parse_limit(text: str) -> int:
+    """A walk or count limit: N (or rw steps) must fit the int64 prime arrays."""
+    limit = parse_number(text)
+    if not 0 <= limit < 1 << 63:
+        raise UsageError(f"limit must lie in [0, 2^63), got {text!r}")
+    return limit
 
 
 @dataclass
@@ -54,8 +68,6 @@ class RunConfig:
 
     def __post_init__(self):
         self.analyses = tuple(self.analyses)
-        if self.limit < 0:
-            raise UsageError("limit must be >= 0")
         if not (math.isfinite(self.checkpoint_factor) and self.checkpoint_factor > 1.0):
             raise UsageError(
                 f"--checkpoint-factor must be finite and exceed 1, got {self.checkpoint_factor}"
@@ -281,7 +293,7 @@ def _add_walk_flags(p: argparse.ArgumentParser):
 
 def _config_from_args(args) -> RunConfig:
     return RunConfig(
-        limit=parse_number(args.limit),
+        limit=parse_limit(args.limit),
         rule=args.rule,
         seed=parse_number(args.seed),
         checkpoint_factor=args.checkpoint_factor,
@@ -318,15 +330,12 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise UsageError("threads must be >= 1")
         if args.command == "count":
-            limit = parse_number(args.limit)
-            if limit < 0:
-                raise UsageError("limit must be >= 0")
-            print(count_walk_primes(limit, threads=args.threads))
+            print(count_walk_primes(parse_limit(args.limit), threads=args.threads))
             return EXIT_OK
         if args.command == "resume":
             return resume_walk(
                 Path(args.checkpoint),
-                parse_number(args.limit),
+                parse_limit(args.limit),
                 out_dir=Path(args.out),
                 threads=args.threads,
                 export_visits=args.export_visits,

@@ -1,10 +1,11 @@
 """Sparse visit-count field, covered-area series and recurrence reporting.
 
 The visit map stores z(x, y), the number of arrivals at each lattice cell,
-in dense tiles located by a sorted tile index; cells are keyed by a packed
-64-bit (x, y) and listed in packed-key order.  The origin is
-part of the covered area from step zero even when no step ever returns to
-it, so `area` can exceed the number of stored cells by one.
+in dense tiles located by a sorted tile index; cells are keyed by the walk
+engine's packed 64-bit (x, y) (see `walk.pack_xy`), which is also the
+position format `GridObserver` receives, and listed in packed-key order.
+The origin is part of the covered area from step zero even when no step
+ever returns to it, so `area` can exceed the number of stored cells by one.
 """
 
 from __future__ import annotations
@@ -14,36 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .walk import WalkObserver
-
-_OFFSET = 1 << 31
-ORIGIN_KEY = (_OFFSET << 32) | _OFFSET
-
-
-def _check_range(name: str, lo: int, hi: int) -> None:
-    if lo < -_OFFSET or hi >= _OFFSET:
-        bad = lo if lo < -_OFFSET else hi
-        raise ValueError(f"{name} coordinate {bad} outside packable [-2^31, 2^31)")
-
-
-def pack_xy(x: int, y: int) -> int:
-    _check_range("x", x, x)
-    _check_range("y", y, y)
-    return ((x + _OFFSET) << 32) | (y + _OFFSET)
-
-
-def pack_arrays(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    if len(xs):
-        _check_range("x", int(xs.min()), int(xs.max()))
-        _check_range("y", int(ys.min()), int(ys.max()))
-    return (
-        (xs.astype(np.int64) + _OFFSET).astype(np.uint64) << np.uint64(32)
-    ) | (ys.astype(np.int64) + _OFFSET).astype(np.uint64)
-
-
-def unpack_key(key: int) -> tuple[int, int]:
-    return (int(key) >> 32) - _OFFSET, (int(key) & 0xFFFFFFFF) - _OFFSET
-
+from .walk import _OFFSET, WalkObserver, pack_xy, unpack_key, unpack_keys
 
 _SIDE = 64  # tile edge; the tile of packed (X, Y) is (X >> 6, Y >> 6)
 _TILE = _SIDE * _SIDE
@@ -292,8 +264,7 @@ def recurrence_report(vmap: VisitMap) -> RecurrenceReport:
     zmax = int(counts.max())
     cand = keys[np.flatnonzero(counts == zmax)]
     del counts
-    xs = (cand >> np.uint64(32)).astype(np.int64) - _OFFSET
-    ys = (cand & np.uint64(0xFFFFFFFF)).astype(np.int64) - _OFFSET
+    xs, ys = unpack_keys(cand)
     order = np.lexsort((ys, xs, xs * xs + ys * ys))
     bx, by = int(xs[order[0]]), int(ys[order[0]])
 
@@ -358,12 +329,11 @@ class GridObserver(WalkObserver):
         while self._next_t <= last_done:
             self._next_t = next(self._schedule)
 
-    def observe(self, primes, digits, xs, ys, x0, y0):
-        ns = primes if primes is not None else None
+    def observe(self, primes, digits, keys, key0):
+        ns = primes
         if ns is None:
             # baseline walk: N is the running step index
-            ns = np.arange(self.steps + 1, self.steps + 1 + len(xs), dtype=np.int64)
-        keys = pack_arrays(xs, ys)
+            ns = np.arange(self.steps + 1, self.steps + 1 + len(keys), dtype=np.int64)
         i = 0
         last_n = int(ns[-1])
         while self._next_t <= last_n:

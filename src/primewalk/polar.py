@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fitting import FitResult, linear_fit
-from .walk import WalkObserver
+from .walk import WalkObserver, unpack_keys
 
 TWO_PI = 2.0 * math.pi
 DPHI_BINS = 100
@@ -84,9 +84,8 @@ class PolarObserver(WalkObserver):
     def __init__(self, deltas: PolarDeltas | None = None):
         self.deltas = PolarDeltas() if deltas is None else deltas
 
-    def observe(self, primes, digits, xs, ys, x0, y0):
-        px = np.concatenate(([x0], xs))
-        py = np.concatenate(([y0], ys))
+    def observe(self, primes, digits, keys, key0):
+        px, py = unpack_keys(np.insert(keys, 0, key0))
         off_origin = (px != 0) | (py != 0)
         keep = off_origin[:-1] & off_origin[1:]
         d_phi = wrap_angle(np.diff(np.arctan2(py, px))[keep])

@@ -82,7 +82,7 @@ class RunLengthObserver(WalkObserver):
         self.acc_digit = acc_digit
         self.acc_length = acc_length
 
-    def observe(self, primes, digits, xs, ys, x0, y0):
+    def observe(self, primes, digits, keys, key0):
         if digits is None:
             raise ValueError("run-length statistics need a digit-driven walk")
         self.feed_digits(digits)

@@ -6,6 +6,10 @@ directions; the random baseline picks directions uniformly from a seeded
 deterministic generator.  Both kinds share one per-batch step, and
 observers are notified in batches (numpy arrays) so large runs stay
 vectorized.
+
+Positions travel as packed 64-bit cell keys, ((x + 2^31) << 32) | (y + 2^31),
+so both coordinates must stay in [-2^31, 2^31); the engine refuses a batch
+that would leave that range.
 """
 
 from __future__ import annotations
@@ -74,6 +78,36 @@ A3 = WalkRule(
 RULES = {"a1": A1, "a2": A2, "a3": A3}
 
 
+# --- packed cell keys --------------------------------------------------------
+
+_OFFSET = 1 << 31
+_SHIFT = np.uint64(32)
+_LOW = np.uint64(0xFFFFFFFF)
+
+
+def _check_range(name: str, lo: int, hi: int) -> None:
+    if lo < -_OFFSET or hi >= _OFFSET:
+        bad = lo if lo < -_OFFSET else hi
+        raise ValueError(f"{name} coordinate {bad} outside packable [-2^31, 2^31)")
+
+
+def pack_xy(x: int, y: int) -> int:
+    _check_range("x", x, x)
+    _check_range("y", y, y)
+    return ((x + _OFFSET) << 32) | (y + _OFFSET)
+
+
+def unpack_key(key: int) -> tuple[int, int]:
+    return (int(key) >> 32) - _OFFSET, (int(key) & 0xFFFFFFFF) - _OFFSET
+
+
+def unpack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 (xs, ys) of an array of packed keys."""
+    xs = (keys >> _SHIFT).astype(np.int64) - _OFFSET
+    ys = (keys & _LOW).astype(np.int64) - _OFFSET
+    return xs, ys
+
+
 @dataclass(frozen=True)
 class WalkState:
     """Position after `steps_taken` steps, having scanned every N <= last_n."""
@@ -87,19 +121,18 @@ class WalkState:
 class WalkObserver:
     """Batch observer; subclass and override `observe`.
 
-    `primes` is None for the random baseline (there is no driving integer);
-    `xs`/`ys` hold the position after each step of the batch and (x0, y0) is
-    the position before it.
+    `primes` and `digits` are None for the random baseline (there is no
+    driving integer); `keys` (uint64) holds the packed position after each
+    step of the batch and the int `key0` the packed position before it.
+    `unpack_key`/`unpack_keys` turn them back into coordinates.
     """
 
     def observe(
         self,
         primes: np.ndarray | None,
         digits: np.ndarray | None,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        x0: int,
-        y0: int,
+        keys: np.ndarray,
+        key0: int,
     ) -> None:
         raise NotImplementedError
 
@@ -118,16 +151,26 @@ def _advance(
     """Take one batch of steps; step i moves by (dx[idx[i]], dy[idx[i]]).
 
     For a prime walk `idx` holds the digits of `primes`; the random baseline
-    passes no primes, and its scanned N is the step count.
+    passes no primes, and its scanned N is the step count.  A batch that
+    would leave the packable range raises ValueError before any observer
+    sees it.
     """
-    xs = state.x + np.cumsum(dx[idx])
-    ys = state.y + np.cumsum(dy[idx])
+    if max(abs(state.x), abs(state.y)) + len(idx) >= _OFFSET:
+        # near the edge a borrow out of y would silently move x: scan exactly
+        for name, d, c0 in (("x", dx, state.x), ("y", dy, state.y)):
+            c = c0 + np.cumsum(d[idx])
+            _check_range(name, int(c.min()), int(c.max()))
+    # unsigned wrap makes each partial sum of packed steps the packed position
+    dk = (dx.astype(np.uint64) << _SHIFT) + dy.astype(np.uint64)
+    key0 = pack_xy(state.x, state.y)
+    keys = np.cumsum(dk[idx])
+    keys += np.uint64(key0)
     digits = None if primes is None else idx
     for obs in observers:
-        obs.observe(primes, digits, xs, ys, state.x, state.y)
+        obs.observe(primes, digits, keys, key0)
     steps = state.steps_taken + len(idx)
     last_n = steps if primes is None else int(primes[-1])
-    return WalkState(int(xs[-1]), int(ys[-1]), steps, last_n)
+    return WalkState(*unpack_key(keys[-1]), steps, last_n)
 
 
 class WalkSession:
@@ -179,7 +222,6 @@ def run_walk(
 # --- random baseline ---------------------------------------------------------
 
 _GAMMA = 0x9E3779B97F4A7C15
-_MASK = (1 << 64) - 1
 
 # Fixed index -> direction table for floor(r / 0.25), mirroring the digit
 # order 1, 3, 7, 9 of rule A1.
@@ -203,7 +245,7 @@ class RandomSource:
     @staticmethod
     def block_at(seed: int, start_index: int, n: int) -> np.ndarray:
         idx = np.arange(start_index, start_index + n, dtype=np.uint64)
-        z = np.uint64(seed & _MASK) + idx * np.uint64(_GAMMA)
+        z = np.uint64(seed) + idx * np.uint64(_GAMMA)
         return (_mix(z) >> np.uint64(11)) * (2.0 ** -53)
 
 
@@ -224,8 +266,10 @@ def run_random_walk(
     Step i takes direction PEARSON_DIRECTIONS[floor(r_i / 0.25)] for the i-th
     uniform r_i, so resuming from `state` continues the generator at index
     state.steps_taken + 1 and replays the exact tail of the uninterrupted
-    sequence.
+    sequence.  `seed` must lie in [0, 2^64).
     """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} outside [0, 2^64)")
     st = state or WalkState()
     while st.steps_taken < steps:
         n = min(batch_size, steps - st.steps_taken)

@@ -6,10 +6,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from primewalk.grid import ORIGIN_KEY, pack_xy, unpack_key
 from primewalk.polar import wrap_angle
 from primewalk.primes import DEFAULT_SEGMENT_FLAGS, WALK_DIGITS, iter_walk_prime_arrays
-from primewalk.walk import PEARSON_DIRECTIONS, Direction, WalkObserver, WalkRule, WalkState
+from primewalk.walk import (
+    PEARSON_DIRECTIONS,
+    Direction,
+    WalkObserver,
+    WalkRule,
+    WalkState,
+    pack_xy,
+    unpack_key,
+)
 
 
 def trial_division_primes(limit):
@@ -49,20 +56,21 @@ class StepObserver(WalkObserver):
     def on_step(self, prime, digit, old_pos, new_pos) -> None:
         raise NotImplementedError
 
-    def observe(self, primes, digits, xs, ys, x0, y0):
-        ps = primes.tolist() if primes is not None else [None] * len(xs)
-        ds = digits.tolist() if digits is not None else [None] * len(xs)
-        old = (x0, y0)
-        for p, d, x, y in zip(ps, ds, xs.tolist(), ys.tolist()):
-            self.on_step(p, d, old, (x, y))
-            old = (x, y)
+    def observe(self, primes, digits, keys, key0):
+        ps = primes.tolist() if primes is not None else [None] * len(keys)
+        ds = digits.tolist() if digits is not None else [None] * len(keys)
+        old = unpack_key(key0)
+        for p, d, key in zip(ps, ds, keys.tolist()):
+            new = unpack_key(key)
+            self.on_step(p, d, old, new)
+            old = new
 
 
 class ScalarRandomSource:
     """Scalar SplitMix64 oracle in Python integers: the i-th uniform mixes seed + i * GAMMA."""
 
     def __init__(self, seed: int, index: int = 0):
-        self.seed = seed & 0xFFFFFFFFFFFFFFFF
+        self.seed = seed
         self.index = index
 
     def next_float(self) -> float:
@@ -102,7 +110,7 @@ class SortedVisitMap:
 
     @property
     def area(self) -> int:
-        return len(self._keys) + (0 if self._index(ORIGIN_KEY) is not None else 1)
+        return len(self._keys) + (0 if self._index(pack_xy(0, 0)) is not None else 1)
 
     def _index(self, key: int):
         i = int(np.searchsorted(self._keys, np.uint64(key)))
@@ -174,8 +182,8 @@ class PathRecorder(WalkObserver):
     def __init__(self):
         self.path = [(0, 0)]
 
-    def observe(self, primes, digits, xs, ys, x0, y0):
-        self.path.extend(zip(xs.tolist(), ys.tolist()))
+    def observe(self, primes, digits, keys, key0):
+        self.path.extend(unpack_key(key) for key in keys.tolist())
 
 
 class DeltaCloud(NamedTuple):

@@ -49,6 +49,38 @@ class TestParseNumber:
         with pytest.raises(UsageError):
             parse_number("ten")
 
+    @staticmethod
+    def refused(tmp_path, capsys, args, text):
+        out = tmp_path / "out"
+        argv = [str(a) for a in args]
+        if args[0] != "count":
+            argv += ["--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert repr(text) in capsys.readouterr().err
+        assert not out.exists()
+
+    @staticmethod
+    def limit_args(command, text, tmp_path):
+        if command == "count":
+            return ("count", text)
+        if command == "walk":
+            return ("walk", "--limit", text)
+        return ("resume", tmp_path / "missing.pwlk", "--limit", text)
+
+    @pytest.mark.parametrize("command", ["count", "walk", "resume"])
+    @pytest.mark.parametrize("text", ["inf", "sNaN", "1e400"])
+    def test_non_finite_or_huge_limit_is_usage_error(self, tmp_path, capsys, command, text):
+        self.refused(tmp_path, capsys, self.limit_args(command, text, tmp_path), text)
+
+    def test_non_finite_seed_is_usage_error(self, tmp_path, capsys):
+        self.refused(tmp_path, capsys, ("walk", "--rule", "rw", "--seed", "inf"), "inf")
+
+    @pytest.mark.parametrize("command", ["count", "walk", "resume"])
+    @pytest.mark.parametrize("text", [str(1 << 63), "1e1000000"])
+    def test_limit_beyond_int64_is_usage_error(self, tmp_path, capsys, command, text):
+        # primes and step indices are int64; 2^63 - 1 is the last limit they hold
+        self.refused(tmp_path, capsys, self.limit_args(command, text, tmp_path), text)
+
 
 class TestCount:
     def test_small(self, capsys):

@@ -11,12 +11,9 @@ from primewalk.grid import (
     GridObserver,
     VisitMap,
     checkpoint_schedule,
-    pack_arrays,
-    pack_xy,
     recurrence_report,
-    unpack_key,
 )
-from primewalk.walk import A1, run_random_walk, run_walk
+from primewalk.walk import A1, pack_xy, run_random_walk, run_walk, unpack_key
 
 from conftest import SortedVisitMap, StepObserver, record_step
 
@@ -32,9 +29,7 @@ BATCHES = st.lists(st.lists(st.tuples(COORD, COORD), max_size=60), max_size=8)
 
 
 def _keys(cells):
-    xs = np.array([x for x, _ in cells], dtype=np.int64)
-    ys = np.array([y for _, y in cells], dtype=np.int64)
-    return pack_arrays(xs, ys)
+    return np.array([pack_xy(x, y) for x, y in cells], dtype=np.uint64)
 
 
 def assert_same_map(m, oracle):
@@ -101,7 +96,7 @@ class TestVisitMap:
         xs = rng.integers(-5, 6, size=500)
         ys = rng.integers(-5, 6, size=500)
         a, b = VisitMap(), VisitMap()
-        a.record_keys(pack_arrays(xs, ys))
+        a.record_keys(_keys(zip(xs.tolist(), ys.tolist())))
         for x, y in zip(xs.tolist(), ys.tolist()):
             record_step(b, x, y)
         assert list(a.items()) == list(b.items())
@@ -113,17 +108,7 @@ class TestVisitMap:
         with pytest.raises(ValueError, match="x coordinate 2147483648"):
             pack_xy(top + 1, 0)
         with pytest.raises(ValueError, match="y coordinate -2147483649"):
-            pack_arrays(np.array([0, 1]), np.array([-top - 2, 0]))
-
-    def test_observer_batch_near_range_edge(self):
-        g = GridObserver()
-        x0 = (1 << 31) - 3
-        ys = np.zeros(2, dtype=np.int64)
-        # ends on 2^31 - 1, the last packable x
-        g.observe(None, None, x0 + np.arange(1, 3), ys, x0, 0)
-        assert g.vmap.count_at((1 << 31) - 1, 0) == 1
-        with pytest.raises(ValueError, match="x coordinate 2147483648"):
-            g.observe(None, None, np.array([1 << 31]), ys[:1], x0 + 2, 0)
+            pack_xy(0, -top - 2)
 
     @given(BATCHES)
     @settings(max_examples=200, deadline=None)

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primewalk.grid import GridObserver
+from primewalk.primes import WALK_DIGITS
 from primewalk.walk import (
     A1,
     A2,
@@ -10,9 +12,12 @@ from primewalk.walk import (
     RULES,
     Direction,
     RandomSource,
+    WalkObserver,
     WalkRule,
     WalkSession,
     WalkState,
+    _advance,
+    pack_xy,
     run_random_walk,
     run_walk,
 )
@@ -206,6 +211,11 @@ class TestPearson:
         summary = run_random_walk(0, seed=123)
         assert (summary.x, summary.y, summary.steps_taken) == (0, 0, 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_seed_outside_64_bits_refused(self, seed):
+        with pytest.raises(ValueError, match=f"seed {seed} "):
+            run_random_walk(1000, seed)
+
 
 class TestRandomSource:
     def test_reproducible(self):
@@ -235,3 +245,81 @@ class TestRandomSource:
         run_random_walk(1000, seed=1, observers=[a])
         run_random_walk(1000, seed=2, observers=[b])
         assert a.path != b.path
+
+
+EDGE = 1 << 31
+
+
+class TestRangeGuard:
+    """Every walk stays in the packable range [-2^31, 2^31) on both axes."""
+
+    @pytest.mark.parametrize("r, start, last, axis, bad", [
+        (0.0, (5, -EDGE + 2), (5, -EDGE), "y", -EDGE - 1),  # DOWN
+        (0.25, (5, EDGE - 3), (5, EDGE - 1), "y", EDGE),  # UP
+        (0.5, (EDGE - 3, 5), (EDGE - 1, 5), "x", EDGE),  # RIGHT
+        (0.75, (-EDGE + 2, 5), (-EDGE, 5), "x", -EDGE - 1),  # LEFT
+    ])
+    def test_walk_refuses_to_leave_range(self, monkeypatch, r, start, last, axis, bad):
+        monkeypatch.setattr(RandomSource, "block_at",
+                            staticmethod(lambda seed, i, n: np.full(n, r)))
+        origin = WalkState(*start)
+        rec, grid = PathRecorder(), GridObserver()
+        edge = run_random_walk(2, 0, [rec, grid], state=origin)
+        assert (edge.x, edge.y) == rec.path[-1] == last
+        assert grid.vmap.count_at(*last) == 1
+        match = f"{axis} coordinate {bad} outside"
+        with pytest.raises(ValueError, match=match):
+            run_random_walk(3, 0, [rec, grid], state=edge)
+        # a batch that crosses the edge is refused whole, observers or not
+        with pytest.raises(ValueError, match=match):
+            run_random_walk(3, 0, [rec, grid], state=origin)
+        with pytest.raises(ValueError, match=match):
+            run_random_walk(3, 0, state=origin)
+        # past the low y edge a borrow would have moved x to 4
+        assert len(rec.path) == grid.vmap.total_visits == 2
+        assert all(p[0 if axis == "y" else 1] == 5 for p in rec.path)
+
+
+class KeyRecorder(WalkObserver):
+    def __init__(self):
+        self.batches = []
+
+    def observe(self, primes, digits, keys, key0):
+        self.batches.append((keys.tolist(), key0))
+
+
+def near_edges(span):
+    """Coordinates within `span` of either end of the packable range, or of 0."""
+    return st.one_of(
+        st.integers(-EDGE, -EDGE + span),
+        st.integers(-span, span),
+        st.integers(EDGE - 1 - span, EDGE - 1),
+    )
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_advance_keys_match_step_oracle(data):
+    rule = data.draw(st.sampled_from(list(RULES.values())))
+    digits = data.draw(st.lists(st.sampled_from(WALK_DIGITS), min_size=1, max_size=40))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(digits)), max_size=4)) | {len(digits)})
+    start = WalkState(data.draw(near_edges(len(digits))), data.draw(near_edges(len(digits))))
+    dx, dy = rule.delta_tables()
+    rec, state, oracle = KeyRecorder(), start, start
+    for a, b in zip([0, *cuts], cuts):
+        batch = np.array(digits[a:b], dtype=np.int64)
+        before, path = oracle, []
+        for d in batch.tolist():
+            oracle = step(oracle, d, rule)
+            path.append((oracle.x, oracle.y))
+        if not all(-EDGE <= c < EDGE for xy in path for c in xy):
+            delivered = len(rec.batches)
+            with pytest.raises(ValueError, match="coordinate"):
+                _advance(state, batch, dx, dy, [rec], batch)
+            assert len(rec.batches) == delivered
+            return
+        state = _advance(state, batch, dx, dy, [rec], batch)
+        keys, key0 = rec.batches[-1]
+        assert key0 == pack_xy(before.x, before.y)
+        assert keys == [pack_xy(x, y) for x, y in path]
+        assert (state.x, state.y, state.steps_taken) == (oracle.x, oracle.y, oracle.steps_taken)
