@@ -13,7 +13,15 @@ from primewalk.grid import (
     checkpoint_schedule,
     recurrence_report,
 )
-from primewalk.walk import A1, pack_xy, run_random_walk, run_walk, unpack_key
+from primewalk.walk import (
+    A1,
+    WalkState,
+    _advance,
+    pack_xy,
+    run_random_walk,
+    run_walk,
+    unpack_key,
+)
 
 from conftest import SortedVisitMap, StepObserver, record_step
 
@@ -109,6 +117,19 @@ class TestVisitMap:
             pack_xy(top + 1, 0)
         with pytest.raises(ValueError, match="y coordinate -2147483649"):
             pack_xy(0, -top - 2)
+
+    def test_observer_batch_near_range_edge(self):
+        g = GridObserver()
+        x0 = (1 << 31) - 3
+        right = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        # ends on 2^31 - 1, the last packable x
+        edge = _advance(WalkState(x0, 0), np.zeros(2, dtype=np.int64), *right, [g])
+        assert (edge.x, edge.y) == ((1 << 31) - 1, 0)
+        assert g.vmap.count_at((1 << 31) - 1, 0) == 1
+        # one more step right is refused before the observer sees it
+        with pytest.raises(ValueError, match="x coordinate 2147483648"):
+            _advance(edge, np.zeros(1, dtype=np.int64), *right, [g])
+        assert g.vmap.total_visits == g.steps == 2
 
     @given(BATCHES)
     @settings(max_examples=200, deadline=None)
