@@ -103,7 +103,8 @@ def write_checkpoint(path, config_hash: bytes, sections: dict) -> None:
             fh.write(_HEAD.pack(MAGIC, VERSION, config_hash, length))
         os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        # missing_ok: when the open itself failed, there is nothing to remove
+        tmp.unlink(missing_ok=True)
         raise
 
 

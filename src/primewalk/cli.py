@@ -91,42 +91,31 @@ class RunConfig:
         return json.dumps(fields, sort_keys=True).encode("utf-8")
 
 
-@dataclass
-class Analyzers:
-    grid_obs: grid.GridObserver | None = None
-    runs_obs: runs.RunLengthObserver | None = None
-    polar_obs: polar.PolarObserver | None = None
-
-    def observers(self):
-        return [o for o in (self.grid_obs, self.runs_obs, self.polar_obs) if o]
-
-
 def _restore(sections: dict, name: str, restore):
-    """restore(sections[name]); a missing section or field is a CheckpointError."""
+    """restore(sections[name]); a missing or malformed section is a CheckpointError."""
     if name not in sections:
         raise CheckpointError(f"checkpoint has no {name!r} section")
     try:
         return restore(sections[name])
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {name!r} section lacks {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise CheckpointError(f"checkpoint {name!r} section is malformed: {exc}") from None
 
 
-def build_analyzers(cfg: RunConfig, sections: dict | None = None) -> Analyzers:
-    """Fresh analyzers for cfg, or the ones saved in checkpoint `sections`."""
-
-    def make(name, cls, *args):
-        if sections is None:
-            return cls(*args)
-        return _restore(sections, name, cls.from_state)
-
-    a = Analyzers()
+def build_analyzers(cfg: RunConfig, sections: dict | None = None) -> dict:
+    """Observers for cfg by checkpoint section name, in the order the walk
+    calls them: fresh, or restored from checkpoint `sections`."""
+    wanted = {}
     if {"area", "benford", "recurrence"} & set(cfg.analyses):
-        a.grid_obs = make("grid", grid.GridObserver, cfg.checkpoint_factor)
+        wanted["grid"] = (grid.GridObserver, cfg.checkpoint_factor)
     if "runs" in cfg.analyses and cfg.rule != "rw":
-        a.runs_obs = make("runs", runs.RunLengthObserver)
+        wanted["runs"] = (runs.RunLengthObserver,)
     if "polar" in cfg.analyses:
-        a.polar_obs = make("polar", polar.PolarObserver)
-    return a
+        wanted["polar"] = (polar.PolarObserver,)
+    if sections is None:
+        return {name: cls(*args) for name, (cls, *args) in wanted.items()}
+    return {name: _restore(sections, name, cls.from_state) for name, (cls, *_) in wanted.items()}
 
 
 def _fit_series(series: grid.AreaSeries):
@@ -138,8 +127,7 @@ def _fit_series(series: grid.AreaSeries):
     return None, None
 
 
-def write_outputs(cfg: RunConfig, analyzers: Analyzers, summary, out_dir: Path):
-    out_dir.mkdir(parents=True, exist_ok=True)
+def write_outputs(cfg: RunConfig, analyzers: dict, summary, out_dir: Path):
     lines = []
     lines.append(("rule", cfg.rule))
     if cfg.rule == "rw":
@@ -149,7 +137,7 @@ def write_outputs(cfg: RunConfig, analyzers: Analyzers, summary, out_dir: Path):
     lines.append(("final_x", summary.x))
     lines.append(("final_y", summary.y))
 
-    g = analyzers.grid_obs
+    g = analyzers.get("grid")
     if g is not None:
         if "area" in cfg.analyses:
             final_row = (summary.last_n, g.steps, g.vmap.area)
@@ -175,14 +163,14 @@ def write_outputs(cfg: RunConfig, analyzers: Analyzers, summary, out_dir: Path):
         if cfg.export_visits:
             grid.write_visits_csv(g.vmap, out_dir / "visits.csv")
 
-    r = analyzers.runs_obs
+    r = analyzers.get("runs")
     if r is not None:
         hist = r.finalized_histogram()
         hist.write_csv(out_dir / "runs.csv")
         if hist.total_runs:
             lines.append(("short_run_fraction", f"{short_run_fraction(hist):.6f}"))
 
-    p = analyzers.polar_obs
+    p = analyzers.get("polar")
     if p is not None:
         p.deltas.write_csv(out_dir / "dphi_hist.csv")
         lines.append(("polar_samples", len(p.deltas)))
@@ -207,7 +195,7 @@ def _write_benford(vmap: grid.VisitMap, path, lines):
     lines.append(("benford_sample_size", table.sample_size))
 
 
-def save_checkpoint(cfg: RunConfig, analyzers: Analyzers, summary, path):
+def save_checkpoint(cfg: RunConfig, analyzers: dict, summary, path):
     identity = cfg.identity()
     sections = {
         "config": {"json": identity},
@@ -218,22 +206,19 @@ def save_checkpoint(cfg: RunConfig, analyzers: Analyzers, summary, path):
             "steps": summary.steps_taken,
         },
     }
-    if analyzers.grid_obs is not None:
-        sections["grid"] = analyzers.grid_obs.state()
-    if analyzers.runs_obs is not None:
-        sections["runs"] = analyzers.runs_obs.state()
-    if analyzers.polar_obs is not None:
-        sections["polar"] = analyzers.polar_obs.state()
+    sections.update({name: obs.state() for name, obs in analyzers.items()})
     write_checkpoint(path, hashlib.sha256(identity).digest(), sections)
 
 
 def execute_walk(
-    cfg: RunConfig, analyzers: Analyzers | None = None, state: WalkState | None = None
+    cfg: RunConfig, analyzers: dict | None = None, state: WalkState | None = None
 ) -> int:
     """Run cfg from scratch, or continue from `state` with restored `analyzers`."""
     if analyzers is None:
         analyzers = build_analyzers(cfg)
-    observers = analyzers.observers()
+    # before the walk: an unusable --out fails at once, with its own error
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    observers = list(analyzers.values())
     if cfg.rule == "rw":
         summary = run_random_walk(cfg.limit, cfg.seed, observers, state=state)
     else:
@@ -246,8 +231,11 @@ def execute_walk(
             start=start,
             state=state,
         )
-    write_outputs(cfg, analyzers, summary, cfg.out_dir)
-    save_checkpoint(cfg, analyzers, summary, cfg.out_dir / "checkpoint.pwlk")
+    try:
+        write_outputs(cfg, analyzers, summary, cfg.out_dir)
+    finally:
+        # a failed output write must not lose the finished walk
+        save_checkpoint(cfg, analyzers, summary, cfg.out_dir / "checkpoint.pwlk")
     return EXIT_OK
 
 
@@ -281,12 +269,16 @@ def _add_walk_flags(p: argparse.ArgumentParser):
     p.add_argument("--rule", default="a1", choices=(*RULES, "rw"))
     p.add_argument("--seed", default="0", help="random baseline seed")
     p.add_argument("--checkpoint-factor", type=float, default=1.25)
-    p.add_argument("--out", default=".", help="output directory")
     p.add_argument(
         "--analyses",
         default=",".join(ALL_ANALYSES),
         help=f"comma list from {{{','.join(ALL_ANALYSES)}}}",
     )
+
+
+def _add_run_flags(p: argparse.ArgumentParser):
+    """Flags outside the run identity, so walk and resume both take them."""
+    p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--export-visits", action="store_true")
 
@@ -313,13 +305,12 @@ def main(argv=None) -> int:
 
     walk_p = sub.add_parser("walk", help="run a walk and write its analyses")
     _add_walk_flags(walk_p)
+    _add_run_flags(walk_p)
 
     resume_p = sub.add_parser("resume", help="continue a checkpointed run")
     resume_p.add_argument("checkpoint", help="checkpoint file")
     resume_p.add_argument("--limit", required=True, help="new target N (or rw steps)")
-    resume_p.add_argument("--out", default=".", help="output directory")
-    resume_p.add_argument("--threads", type=int, default=1)
-    resume_p.add_argument("--export-visits", action="store_true")
+    _add_run_flags(resume_p)
 
     count_p = sub.add_parser("count", help="count walk primes up to a limit")
     count_p.add_argument("limit")

@@ -11,6 +11,7 @@ ever returns to it, so `area` can exceed the number of stored cells by one.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,11 +234,11 @@ class AreaSeries:
 
     @classmethod
     def from_state(cls, state: dict) -> "AreaSeries":
-        return cls(
-            n=[int(v) for v in state["n"]],
-            n_p=[int(v) for v in state["n_p"]],
-            area=[int(v) for v in state["area"]],
-        )
+        # replayed row by row, so a restored series passes a recorded one's checks
+        series = cls()
+        for row in zip(state["n"], state["n_p"], state["area"], strict=True):
+            series.checkpoint(*row)
+        return series
 
 
 @dataclass
@@ -294,8 +295,8 @@ def recurrence_report(vmap: VisitMap) -> RecurrenceReport:
 
 def checkpoint_schedule(factor: float, first: int = 10):
     """Geometric checkpoint thresholds: n_0 = first, n_{k+1} >= n_k * factor."""
-    if factor <= 1.0:
-        raise ValueError("checkpoint factor must exceed 1")
+    if not (math.isfinite(factor) and factor > 1.0):
+        raise ValueError(f"checkpoint factor must be finite and exceed 1, got {factor}")
     n = first
     while True:
         yield n

@@ -98,6 +98,8 @@ class PolarObserver(WalkObserver):
     @classmethod
     def from_state(cls, state: dict) -> "PolarObserver":
         counts = np.array(state["counts"], dtype=np.int64)
+        if counts.shape != (DPHI_BINS,):
+            raise ValueError(f"dphi counts have shape {counts.shape}, not ({DPHI_BINS},)")
         return cls(PolarDeltas(counts=counts, skipped=int(state["skipped"])))
 
 

@@ -65,7 +65,8 @@ class RunHistogram:
     @classmethod
     def from_state(cls, state: dict) -> "RunHistogram":
         h = cls()
-        for d, ln, c in zip(state["digits"], state["lengths"], state["occurrences"]):
+        rows = zip(state["digits"], state["lengths"], state["occurrences"], strict=True)
+        for d, ln, c in rows:
             h.add(int(d), int(ln), int(c))
         return h
 

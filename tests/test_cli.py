@@ -11,7 +11,7 @@ from primewalk.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from primewalk.cli import EXIT_CHECKPOINT, EXIT_OK, EXIT_USAGE, main, parse_number
+from primewalk.cli import EXIT_CHECKPOINT, EXIT_IO, EXIT_OK, EXIT_USAGE, main, parse_number
 from primewalk.grid import GridObserver
 from primewalk.polar import PolarObserver
 from primewalk.runs import RunLengthObserver
@@ -183,6 +183,25 @@ class TestWalkCommand:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_output_write_keeps_checkpoint(self, tmp_path):
+        direct, out, resumed = tmp_path / "d", tmp_path / "o", tmp_path / "r"
+        (out / "summary.txt").mkdir(parents=True)
+        assert run_cli("walk", "--limit", "1e5", "--out", out) == EXIT_IO
+        assert (out / "checkpoint.pwlk").exists()
+        run_cli("walk", "--limit", "2e5", "--out", direct)
+        assert (
+            run_cli("resume", out / "checkpoint.pwlk", "--limit", "2e5", "--out", resumed)
+            == EXIT_OK
+        )
+        for name in CSV_FILES + ["summary.txt", "checkpoint.pwlk"]:
+            assert (direct / name).read_bytes() == (resumed / name).read_bytes(), name
+
+    def test_unusable_out_dir_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "file"
+        out.write_text("")
+        assert run_cli("walk", "--limit", "1000", "--out", out) == EXIT_IO
+        assert "File exists" in capsys.readouterr().err
+
     def test_visits_export(self, tmp_path):
         out = tmp_path / "v"
         run_cli("walk", "--limit", "100", "--out", out, "--export-visits")
@@ -275,6 +294,31 @@ class TestResume:
             == EXIT_CHECKPOINT
         )
 
+    @pytest.mark.parametrize(
+        "section, field, damage",
+        [
+            ("grid", "map_counts", lambda a: np.concatenate(([1 << 31], a[1:]))),
+            ("grid", "factor", lambda a: 1.0),
+            ("grid", "series_area", lambda a: a[:-3]),
+            ("runs", "lengths", lambda a: a[:-1]),
+            ("polar", "counts", lambda a: a[:50]),
+        ],
+        ids=["count-past-int32", "factor-1", "series-short", "lengths-short", "50-bins"],
+    )
+    def test_malformed_section_refused(self, tmp_path, capsys, section, field, damage):
+        out = tmp_path / "o"
+        run_cli("walk", "--limit", "1e5", "--out", out)
+        ckpt = out / "checkpoint.pwlk"
+        stored_hash, sections = read_checkpoint(ckpt)
+        sections[section][field] = damage(sections[section][field])
+        write_checkpoint(ckpt, stored_hash, sections)
+        capsys.readouterr()
+        assert (
+            run_cli("resume", ckpt, "--limit", "2e5", "--out", tmp_path / "x")
+            == EXIT_CHECKPOINT
+        )
+        assert f"{section!r} section" in capsys.readouterr().err
+
     def test_not_a_checkpoint(self, tmp_path):
         bogus = tmp_path / "bogus.bin"
         bogus.write_bytes(b"not a checkpoint at all")
@@ -324,6 +368,11 @@ class TestCheckpointFormat:
             write_checkpoint(path, b"\x00" * 32, {"s": {"a": np.arange(4), "b": 2}})
         assert path.read_bytes() == good
         assert [p.name for p in tmp_path.iterdir()] == ["c.pwlk"]
+
+    def test_missing_directory_error_is_not_masked(self, tmp_path):
+        with pytest.raises(FileNotFoundError) as info:
+            write_checkpoint(tmp_path / "no" / "c.pwlk", b"\x00" * 32, {"s": {"v": 1}})
+        assert info.value.__context__ is None
 
     def test_truncation_detected(self, tmp_path):
         path = tmp_path / "c.pwlk"

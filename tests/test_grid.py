@@ -250,6 +250,11 @@ class TestAreaSeries:
         assert all(b > a for a, b in zip(vals, vals[1:]))
         assert vals[1] == 12
 
+    @pytest.mark.parametrize("factor", [1.0, 0.5, float("nan"), float("inf")])
+    def test_schedule_refuses_bad_factor(self, factor):
+        with pytest.raises(ValueError, match=f"factor must be finite and exceed 1, got {factor}"):
+            GridObserver(factor)
+
     def test_observer_series_monotone(self):
         g = GridObserver(checkpoint_factor=1.25)
         run_walk(50_000, A1, [g])
