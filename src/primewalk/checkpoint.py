@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"PWLK"
-VERSION = 2
+VERSION = 3
 _HEAD = struct.Struct("<4sI32sQ")
 _CHUNK = 1 << 24
 

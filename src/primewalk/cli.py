@@ -91,12 +91,12 @@ class RunConfig:
         return json.dumps(fields, sort_keys=True).encode("utf-8")
 
 
-def _restore(sections: dict, name: str, restore):
-    """restore(sections[name]); a missing or malformed section is a CheckpointError."""
+def _restore(sections: dict, name: str, restore, *args):
+    """restore(sections[name], *args); a missing or malformed section is a CheckpointError."""
     if name not in sections:
         raise CheckpointError(f"checkpoint has no {name!r} section")
     try:
-        return restore(sections[name])
+        return restore(sections[name], *args)
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {name!r} section lacks {exc}") from None
     except (ValueError, TypeError) as exc:
@@ -113,9 +113,10 @@ def build_analyzers(cfg: RunConfig, sections: dict | None = None) -> dict:
         wanted["runs"] = (runs.RunLengthObserver,)
     if "polar" in cfg.analyses:
         wanted["polar"] = (polar.PolarObserver,)
-    if sections is None:
-        return {name: cls(*args) for name, (cls, *args) in wanted.items()}
-    return {name: _restore(sections, name, cls.from_state) for name, (cls, *_) in wanted.items()}
+    return {
+        name: cls(*args) if sections is None else _restore(sections, name, cls.from_state, *args)
+        for name, (cls, *args) in wanted.items()
+    }
 
 
 def _fit_series(series: grid.AreaSeries):
@@ -246,17 +247,19 @@ def _walk_state(s: dict) -> WalkState:
 def resume_walk(path, target: int, **runtime) -> int:
     """Continue the run saved at `path` up to N = target (steps, for rw)."""
     stored_hash, sections = read_checkpoint(path)
-    raw = _restore(sections, "config", lambda s: s["json"])
-    if hashlib.sha256(raw).digest() != stored_hash:
+    digest = _restore(sections, "config", lambda s: hashlib.sha256(s["json"]).digest())
+    if digest != stored_hash:
         raise CheckpointError("checkpoint config hash mismatch")
     # the checkpoint owns the run identity; a tampered one fails the hash above
-    cfg = RunConfig(limit=target, **runtime, **json.loads(raw))
+    cfg = RunConfig(limit=target, **runtime, **json.loads(sections["config"]["json"]))
     state = _restore(sections, "walk", _walk_state)
     if target <= state.last_n:
         raise CheckpointError(
             f"new limit {target} must exceed checkpointed progress {state.last_n}"
         )
     analyzers = build_analyzers(cfg, sections)
+    if "grid" in analyzers and analyzers["grid"].steps != state.steps_taken:
+        raise CheckpointError("checkpoint 'grid' section's visits differ from the walk's steps")
     del sections  # the analyzers hold copies; free the restored arrays
     return execute_walk(cfg, analyzers, state)
 

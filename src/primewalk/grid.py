@@ -22,7 +22,6 @@ _SIDE = 64  # tile edge; the tile of packed (X, Y) is (X >> 6, Y >> 6)
 _TILE = _SIDE * _SIDE
 _ROW_MASK = (1 << 26) - 1
 _COUNT_MAX = np.iinfo(np.int32).max
-_RESTORE_CHUNK = 1 << 20
 
 
 def _tile_ids(keys: np.ndarray) -> np.ndarray:
@@ -172,22 +171,26 @@ class VisitMap:
 
     # checkpoint support
     def state(self) -> dict:
-        keys, counts = self.cells()
-        return {"keys": keys, "counts": counts, "total": self._total}
+        """The sorted tile ids and their int32 tiles, in tile-id order."""
+        return {"tile_ids": self._ids.copy(), "tiles": self._store.reshape(-1, _TILE)[self._slot]}
 
     @classmethod
     def from_state(cls, state: dict) -> "VisitMap":
+        ids, tiles = np.asarray(state["tile_ids"]), np.asarray(state["tiles"])
+        if ids.dtype != np.uint64 or ids.ndim != 1:
+            raise ValueError(f"tile ids must be a uint64 vector, got {ids.dtype} {ids.shape}")
+        if np.any(ids[1:] <= ids[:-1]) or np.any(ids >= 1 << 52):
+            raise ValueError("tile ids must be strictly increasing and below 2^52")
+        if tiles.shape != (len(ids), _TILE) or tiles.dtype.kind not in "iu":
+            raise ValueError(f"tiles are {tiles.dtype} {tiles.shape}, not ({len(ids)}, {_TILE})")
+        if tiles.size and (tiles.min() < 0 or tiles.max() > _COUNT_MAX):
+            raise ValueError(f"a visit count lies outside [0, {_COUNT_MAX}]")
         m = cls()
-        keys = np.asarray(state["keys"], dtype=np.uint64)
-        counts = np.asarray(state["counts"])
-        if len(counts) and int(counts.max()) > _COUNT_MAX:
-            x, y = unpack_key(keys[counts.argmax()])
-            raise ValueError(f"visit count at ({x}, {y}) passes {_COUNT_MAX}")
-        for i in range(0, len(keys), _RESTORE_CHUNK):
-            flat, touched = m._flat_index(keys[i : i + _RESTORE_CHUNK])
-            m._store[flat] = counts[i : i + _RESTORE_CHUNK]
-            m._recount(touched)
-        m._total = int(state["total"])
+        m._ids, m._slot = ids, np.arange(len(ids), dtype=np.int64)
+        m._store = np.array(tiles.ravel(), dtype=np.int32)  # owned: _reserve resizes it
+        m._occupied = np.count_nonzero(tiles, axis=1)
+        m._cells = int(m._occupied.sum())
+        m._total = int(m._store.sum(dtype=np.int64))
         return m
 
 
@@ -318,17 +321,19 @@ class GridObserver(WalkObserver):
         *,
         vmap: VisitMap | None = None,
         series: AreaSeries | None = None,
-        steps_done: int = 0,
     ):
         self.checkpoint_factor = checkpoint_factor
-        self.vmap = vmap or VisitMap()
-        self.series = series or AreaSeries()
-        self.steps = steps_done
+        self.vmap = VisitMap() if vmap is None else vmap
+        self.series = AreaSeries() if series is None else series
         self._schedule = checkpoint_schedule(checkpoint_factor)
         self._next_t = next(self._schedule)
         last_done = self.series.n[-1] if len(self.series) else 0
         while self._next_t <= last_done:
             self._next_t = next(self._schedule)
+
+    @property
+    def steps(self) -> int:
+        return self.vmap.total_visits
 
     def observe(self, primes, digits, keys, key0):
         ns = primes
@@ -340,12 +345,10 @@ class GridObserver(WalkObserver):
         while self._next_t <= last_n:
             j = int(np.searchsorted(ns, self._next_t, side="right"))
             self.vmap.record_keys(keys[i:j])
-            self.steps += j - i
             i = j
             self.series.checkpoint(self._next_t, self.steps, self.vmap.area)
             self._next_t = next(self._schedule)
         self.vmap.record_keys(keys[i:])
-        self.steps += len(keys) - i
 
     def finish(self, last_n, steps_taken):
         # record any thresholds that fall past the last event but at/below N
@@ -354,25 +357,19 @@ class GridObserver(WalkObserver):
             self._next_t = next(self._schedule)
 
     def state(self) -> dict:
-        s = {"steps": self.steps, "factor": float(self.checkpoint_factor)}
-        s.update({f"map_{k}": v for k, v in self.vmap.state().items()})
+        s = {f"map_{k}": v for k, v in self.vmap.state().items()}
         s.update({f"series_{k}": v for k, v in self.series.state().items()})
         return s
 
     @classmethod
-    def from_state(cls, state: dict) -> "GridObserver":
+    def from_state(cls, state: dict, checkpoint_factor: float) -> "GridObserver":
         vmap = VisitMap.from_state(
             {k[4:]: v for k, v in state.items() if k.startswith("map_")}
         )
         series = AreaSeries.from_state(
             {k[7:]: v for k, v in state.items() if k.startswith("series_")}
         )
-        return cls(
-            checkpoint_factor=float(state["factor"]),
-            vmap=vmap,
-            series=series,
-            steps_done=int(state["steps"]),
-        )
+        return cls(checkpoint_factor, vmap=vmap, series=series)
 
 
 def write_visits_csv(vmap: VisitMap, path, *, max_cells: int = 50_000_000) -> None:

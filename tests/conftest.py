@@ -143,8 +143,8 @@ class SortedVisitMap:
         for key, c in zip(self._keys.tolist(), self._counts.tolist()):
             yield (*unpack_key(key), c)
 
-    def state(self) -> dict:
-        return {"keys": self._keys, "counts": self._counts, "total": self._total}
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._keys.copy(), self._counts.copy()
 
 
 class ScalarRuns:

@@ -29,6 +29,13 @@ def run_cli(*args):
     return main([str(a) for a in args])
 
 
+def _first_count(tiles, count, dtype=np.int32):
+    """A copy of `tiles` as `dtype`, with its first cell set to `count`."""
+    tiles = tiles.astype(dtype)
+    tiles.flat[0] = count
+    return tiles
+
+
 def read_summary(out_dir):
     lines = (Path(out_dir) / "summary.txt").read_text().splitlines()
     return dict(line.split("=", 1) for line in lines)
@@ -265,8 +272,9 @@ class TestResume:
         run_cli("walk", "--limit", "50000", "--out", out)
         ckpt = out / "checkpoint.pwlk"
         good = ckpt.read_bytes()
-        # a flipped payload byte, then an intact file stamped VERSION 1
-        for at, patch in ((60, bytes([good[60] ^ 0xFF])), (4, struct.pack("<I", 1))):
+        # a flipped payload byte, then an intact file stamped VERSION 1 or 2
+        stamps = [(4, struct.pack("<I", v)) for v in (1, 2)]
+        for at, patch in [(60, bytes([good[60] ^ 0xFF])), *stamps]:
             blob = bytearray(good)
             blob[at : at + len(patch)] = patch
             ckpt.write_bytes(bytes(blob))
@@ -297,13 +305,20 @@ class TestResume:
     @pytest.mark.parametrize(
         "section, field, damage",
         [
-            ("grid", "map_counts", lambda a: np.concatenate(([1 << 31], a[1:]))),
-            ("grid", "factor", lambda a: 1.0),
+            ("grid", "map_tile_ids", lambda a: np.concatenate((a[:1], a[:-1]))),
+            ("grid", "map_tile_ids", lambda a: a[::-1].copy()),
+            ("grid", "map_tiles", lambda a: a[:-1]),
+            ("grid", "map_tiles", lambda a: _first_count(a, 1 << 31, np.int64)),
+            ("grid", "map_tiles", lambda a: _first_count(a, -1)),
+            ("grid", "map_tiles", lambda a: _first_count(a, a.flat[0] + 1)),
             ("grid", "series_area", lambda a: a[:-3]),
             ("runs", "lengths", lambda a: a[:-1]),
             ("polar", "counts", lambda a: a[:50]),
+            ("config", "json", lambda a: 5),
         ],
-        ids=["count-past-int32", "factor-1", "series-short", "lengths-short", "50-bins"],
+        ids=["duplicate-tile-id", "unsorted-tile-ids", "tiles-row-short", "count-past-int32",
+             "negative-count", "tiles-past-walk-steps", "series-short", "lengths-short",
+             "50-bins", "config-json-not-bytes"],
     )
     def test_malformed_section_refused(self, tmp_path, capsys, section, field, damage):
         out = tmp_path / "o"

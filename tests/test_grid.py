@@ -41,11 +41,9 @@ def _keys(cells):
 
 
 def assert_same_map(m, oracle):
-    got, want = m.state(), oracle.state()
-    assert got.keys() == want.keys()
-    for k in want:
-        assert np.array_equal(got[k], want[k]), k
-        assert np.asarray(got[k]).dtype == np.asarray(want[k]).dtype, k
+    for got, want in zip(m.cells(), oracle.cells(), strict=True):
+        assert np.array_equal(got, want)
+        assert got.dtype == want.dtype
     assert list(m.items()) == list(oracle.items())
     assert (len(m), m.area, m.total_visits) == (len(oracle), oracle.area, oracle.total_visits)
     assert sorted(m.z_values().tolist()) == sorted(oracle.z_values().tolist())
@@ -160,17 +158,17 @@ class TestVisitMap:
         monkeypatch.setattr(grid, "_COUNT_MAX", 5)
         m = VisitMap()
         m.record_keys(_keys([(1, 2)] * 3 + [(-4, 7)]))
-        before = m.state()
+        before = m.cells()
         with pytest.raises(ValueError, match=r"\(1, 2\)"):
             m.record_keys(_keys([(-4, 7), (1, 2), (1, 2), (1, 2), (9, 9)]))
-        after = m.state()
-        assert all(np.array_equal(before[k], after[k]) for k in before)
+        after = m.cells()
+        assert all(np.array_equal(b, a) for b, a in zip(before, after, strict=True))
         assert (len(m), m.total_visits) == (2, 4)
         m.record_keys(_keys([(1, 2), (1, 2)]))
         assert m.count_at(1, 2) == 5
         state = m.state()
-        state["counts"] = state["counts"] + 1
-        with pytest.raises(ValueError, match=r"\(1, 2\)"):
+        state["tiles"] = state["tiles"] + 1
+        with pytest.raises(ValueError, match="visit count lies outside"):
             VisitMap.from_state(state)
 
     def test_state_roundtrip(self):
@@ -207,6 +205,41 @@ class TestAreaFromWalks:
         a, b = small.state(), default.state()
         assert a.keys() == b.keys()
         assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    def test_restored_observer_continues_like_direct(self):
+        first, direct = GridObserver(), GridObserver()
+        part = run_random_walk(10_000, 3, [first])
+        saved = first.state()
+        restored = GridObserver.from_state(saved, 1.25)
+        run_random_walk(100_000, 3, [restored], state=part)
+        run_random_walk(100_000, 3, [direct])
+        a, b = restored.state(), direct.state()
+        # new tiles after the restore: the adopted store must grow in place
+        assert len(a["map_tile_ids"]) > len(saved["map_tile_ids"])
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+        assert restored.steps == direct.steps == 100_000
+
+    def test_state_fields(self):
+        g = GridObserver()
+        run_walk(10**5, A1, [g])
+        fields = {k: (np.shape(v), np.asarray(v).dtype) for k, v in g.state().items()}
+        rows = ((len(g.series),), np.int64)
+        assert fields == {
+            "map_tile_ids": ((3,), np.uint64),
+            "map_tiles": ((3, 64 * 64), np.int32),
+            "series_n": rows,
+            "series_n_p": rows,
+            "series_area": rows,
+        }
+
+    def test_observer_keeps_given_empty_map_and_series(self):
+        vmap, series = VisitMap(), AreaSeries()
+        g = GridObserver(vmap=vmap, series=series)
+        run_walk(1000, A1, [g])
+        assert g.vmap is vmap and g.series is series
+        assert len(vmap) == 30 and len(series) > 0
+        assert g.steps == vmap.total_visits
 
     def test_streaming_matches_replay_oracle(self):
         g = GridObserver()
