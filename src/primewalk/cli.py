@@ -99,7 +99,7 @@ def _restore(sections: dict, name: str, restore, *args):
         return restore(sections[name], *args)
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {name!r} section lacks {exc}") from None
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, UsageError) as exc:
         raise CheckpointError(f"checkpoint {name!r} section is malformed: {exc}") from None
 
 
@@ -251,7 +251,9 @@ def resume_walk(path, target: int, **runtime) -> int:
     if digest != stored_hash:
         raise CheckpointError("checkpoint config hash mismatch")
     # the checkpoint owns the run identity; a tampered one fails the hash above
-    cfg = RunConfig(limit=target, **runtime, **json.loads(sections["config"]["json"]))
+    cfg = _restore(
+        sections, "config", lambda s: RunConfig(limit=target, **runtime, **json.loads(s["json"]))
+    )
     state = _restore(sections, "walk", _walk_state)
     if target <= state.last_n:
         raise CheckpointError(

@@ -21,6 +21,7 @@ from .walk import _OFFSET, WalkObserver, pack_xy, unpack_key, unpack_keys
 _SIDE = 64  # tile edge; the tile of packed (X, Y) is (X >> 6, Y >> 6)
 _TILE = _SIDE * _SIDE
 _ROW_MASK = (1 << 26) - 1
+_TILE_MASK = np.uint64(0xFFFFFFC0_FFFFFFC0)  # clears X & 63, Y & 63: one value per tile
 _COUNT_MAX = np.iinfo(np.int32).max
 
 
@@ -30,10 +31,13 @@ def _tile_ids(keys: np.ndarray) -> np.ndarray:
     )
 
 
-def _tile_offsets(keys: np.ndarray) -> np.ndarray:
+def _tile_offsets(keys: np.ndarray, out=None, tmp=None) -> np.ndarray:
     """Row-major (X & 63, Y & 63) offset of each key inside its tile."""
     k = keys.view(np.int64)
-    return ((k >> 26) & 0xFC0) | (k & 63)
+    out = np.right_shift(k, 26, out=out)
+    np.bitwise_and(out, 0xFC0, out=out)
+    tmp = np.bitwise_and(k, 63, out=tmp)
+    return np.bitwise_or(out, tmp, out=out)
 
 
 class VisitMap:
@@ -54,6 +58,7 @@ class VisitMap:
         self._occupied = np.zeros(0, dtype=np.int64)  # nonzero cells per slot
         self._cells = 0
         self._total = 0
+        self._scratch = None  # masked keys and store index of a batch, see _flat_index
 
     def __len__(self) -> int:
         return self._cells
@@ -80,11 +85,14 @@ class VisitMap:
         return np.where(self._ids[pos] == tids, self._store[flat], 0).astype(np.int64)
 
     def _flat_index(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Store index of each key and the slots it touches; adds missing tiles."""
-        tids = _tile_ids(keys)
+        """Store index of each key (in scratch) and the slots it touches; adds missing tiles."""
+        if self._scratch is None or self._scratch.shape[1] < len(keys):
+            self._scratch = np.empty((2, len(keys)), dtype=np.uint64)
+        tiles, flat = self._scratch[:, : len(keys)]
+        np.bitwise_and(keys, _TILE_MASK, out=tiles)
         # a walk stays in one tile for many steps: look up runs, not steps
-        starts = np.flatnonzero(np.concatenate(([True], tids[1:] != tids[:-1])))
-        uniq, run_of = np.unique(tids[starts], return_inverse=True)
+        starts = np.flatnonzero(np.concatenate(([True], tiles[1:] != tiles[:-1])))
+        uniq, run_of = np.unique(_tile_ids(keys[starts]), return_inverse=True)
         pos = np.searchsorted(self._ids, uniq)
         hit = pos < len(self._ids)
         hit[hit] = self._ids[pos[hit]] == uniq[hit]
@@ -98,7 +106,9 @@ class VisitMap:
             pos = pos + np.cumsum(new) - new  # positions after the insert
         touched = self._slot[pos]
         lengths = np.diff(np.append(starts, len(keys)))
-        flat = np.repeat(touched[run_of] * _TILE, lengths) + _tile_offsets(keys)
+        # the runs are found, so tiles is free: the offsets' temporary
+        flat = _tile_offsets(keys, out=flat.view(np.int64), tmp=tiles.view(np.int64))
+        flat += np.repeat(touched[run_of] * _TILE, lengths)
         return flat, touched
 
     def _reserve(self, tiles: int) -> None:
@@ -336,21 +346,19 @@ class GridObserver(WalkObserver):
         return self.vmap.total_visits
 
     def observe(self, primes, digits, keys, key0):
-        ns = primes
-        if ns is None:
-            # baseline walk: N is the running step index
-            ns = np.arange(self.steps + 1, self.steps + 1 + len(keys), dtype=np.int64)
+        s0 = self.steps  # the baseline's N is its step index: keys[j] is step s0 + j + 1
+        last_n = s0 + len(keys) if primes is None else int(primes[-1])
         i = 0
-        last_n = int(ns[-1])
-        while self._next_t <= last_n:
-            j = int(np.searchsorted(ns, self._next_t, side="right"))
+        while (t := self._next_t) <= last_n:
+            j = max(t - s0, 0) if primes is None else int(np.searchsorted(primes, t, "right"))
             self.vmap.record_keys(keys[i:j])
             i = j
-            self.series.checkpoint(self._next_t, self.steps, self.vmap.area)
+            self.series.checkpoint(t, self.steps, self.vmap.area)
             self._next_t = next(self._schedule)
         self.vmap.record_keys(keys[i:])
 
     def finish(self, last_n, steps_taken):
+        self.vmap._scratch = None  # the walk is over: free the map's batch buffers
         # record any thresholds that fall past the last event but at/below N
         while self._next_t <= last_n:
             self.series.checkpoint(self._next_t, self.steps, self.vmap.area)

@@ -9,6 +9,7 @@ downstream consumer sees the same stream.
 from __future__ import annotations
 
 import math
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator
@@ -32,17 +33,23 @@ def base_primes(limit_sqrt: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def _walk_flags(lo: int, hi: int, base: np.ndarray) -> tuple[int, np.ndarray]:
+def _walk_flags(lo: int, hi: int, base: tuple) -> tuple[int, np.ndarray]:
     """Walk-prime flags for the odd numbers >= 3 in [lo, hi).
 
     Returns (first_odd, flags) where flags[i] corresponds to first_odd + 2*i;
-    5 is cleared.  `base` must contain every odd prime <= floor(sqrt(hi - 1)).
+    5 is cleared.  `base` is (primes, thread-local): the primes include every
+    odd prime <= floor(sqrt(hi - 1)), and the flags live in the calling
+    thread's buffer until its next call.
     """
+    base, scratch = base
     first_odd = max(lo, 3) | 1
     count = (hi - first_odd + 1) // 2
     if count <= 0:
         return first_odd, np.zeros(0, dtype=bool)
-    flags = np.ones(count, dtype=bool)
+    if len(getattr(scratch, "flags", ())) < count:
+        scratch.flags = np.empty(count, dtype=bool)
+    flags = scratch.flags[:count]
+    flags.fill(True)
     # base[0] is 2; strike each odd base prime p with p * p < hi from its
     # first odd multiple that is >= max(p * p, lo)
     ps = base[1 : np.searchsorted(base, math.isqrt(hi - 1), side="right")]
@@ -50,25 +57,27 @@ def _walk_flags(lo: int, hi: int, base: np.ndarray) -> tuple[int, np.ndarray]:
     start += ps * (start % 2 == 0)
     live = start < hi
     offsets = ((start[live] - first_odd) // 2).tolist()
+    false = np.zeros((), dtype=bool)  # a Python False is converted on every strike
     for s, p in zip(offsets, ps[live].tolist()):
-        flags[s::p] = False
+        flags[s::p] = false
     if lo <= 5 < hi:
         flags[(5 - first_odd) // 2] = False
     return first_odd, flags
 
 
-def _walk_primes_in(lo: int, hi: int, base: np.ndarray) -> np.ndarray:
-    """Walk primes (last digit 1/3/7/9) in [lo, hi), ascending."""
+def _walk_primes_in(lo: int, hi: int, base: tuple) -> np.ndarray:
+    """Walk primes (last digit 1/3/7/9) in [lo, hi), ascending, in a new array."""
     first_odd, flags = _walk_flags(lo, hi, base)
-    return (np.flatnonzero(flags) * 2 + first_odd).astype(np.int64)
+    primes = np.flatnonzero(flags)  # int64 indices, mapped to odd N in place
+    return np.add(np.multiply(primes, 2, out=primes), first_odd, out=primes)
 
 
-def _count_walk_primes_in(lo: int, hi: int, base: np.ndarray) -> int:
+def _count_walk_primes_in(lo: int, hi: int, base: tuple) -> int:
     return int(np.count_nonzero(_walk_flags(lo, hi, base)[1]))
 
 
 def _per_segment(
-    fn: Callable[[int, int, np.ndarray], object],
+    fn: Callable[[int, int, tuple], object],
     limit: int,
     start: int,
     segment_flags: int,
@@ -83,7 +92,7 @@ def _per_segment(
         raise ValueError(f"segment_flags must be >= 1, got {segment_flags}")
     if limit < 2 or limit < start:
         return
-    base = base_primes(math.isqrt(limit))
+    base = base_primes(math.isqrt(limit)), threading.local()
     span = 2 * segment_flags
     los = range(max(start, 2), limit + 1, span)
     if threads <= 1:

@@ -82,6 +82,7 @@ class RunLengthObserver(WalkObserver):
         self.hist = hist or RunHistogram()
         self.acc_digit = acc_digit
         self.acc_length = acc_length
+        self._edges = None  # run edges of a batch, see feed_digits
 
     def observe(self, primes, digits, keys, key0):
         if digits is None:
@@ -91,8 +92,12 @@ class RunLengthObserver(WalkObserver):
     def feed_digits(self, digits: np.ndarray) -> None:
         if len(digits) == 0:
             return
-        starts = np.flatnonzero(np.diff(digits)) + 1
-        starts = np.concatenate(([0], starts, [len(digits)]))
+        if self._edges is None or len(self._edges) <= len(digits):
+            self._edges = np.empty(len(digits) + 1, dtype=bool)
+        edges = self._edges[: len(digits) + 1]  # True where a run starts, and at the end
+        edges[0] = edges[-1] = True
+        np.not_equal(digits[1:], digits[:-1], out=edges[1:-1])
+        starts = np.flatnonzero(edges)
         run_digits = digits[starts[:-1]]
         run_lengths = np.diff(starts)
         # splice the carried open run with the batch's first run
@@ -111,7 +116,7 @@ class RunLengthObserver(WalkObserver):
     def finish(self, last_n, steps_taken):
         # deliberately no finalize: the open run must survive a resume;
         # use finalized_histogram() to read results
-        pass
+        self._edges = None
 
     def finalized_histogram(self) -> RunHistogram:
         """Snapshot with the open run committed; observer state untouched."""

@@ -121,10 +121,12 @@ class WalkState:
 class WalkObserver:
     """Batch observer; subclass and override `observe`.
 
-    `primes` and `digits` are None for the random baseline (there is no
-    driving integer); `keys` (uint64) holds the packed position after each
-    step of the batch and the int `key0` the packed position before it.
-    `unpack_key`/`unpack_keys` turn them back into coordinates.
+    `primes` (int64) and `digits` (uint8) are None for the random baseline
+    (there is no driving integer); `keys` (uint64) holds the packed position
+    after each step of the batch and the int `key0` the packed position
+    before it.  `unpack_key`/`unpack_keys` turn them back into coordinates.
+    The arrays are valid only during `observe`: the engine may reuse their
+    memory for the next batch, so an observer copies what it keeps.
     """
 
     def observe(
@@ -147,13 +149,14 @@ def _advance(
     dy: np.ndarray,
     observers: Sequence[WalkObserver],
     primes: np.ndarray | None = None,
+    keys: np.ndarray | None = None,
 ) -> WalkState:
     """Take one batch of steps; step i moves by (dx[idx[i]], dy[idx[i]]).
 
     For a prime walk `idx` holds the digits of `primes`; the random baseline
-    passes no primes, and its scanned N is the step count.  A batch that
-    would leave the packable range raises ValueError before any observer
-    sees it.
+    passes no primes, and its scanned N is the step count.  The keys go to
+    `keys` if given.  A batch that would leave the packable range raises
+    ValueError before any observer sees it.
     """
     if max(abs(state.x), abs(state.y)) + len(idx) >= _OFFSET:
         # near the edge a borrow out of y would silently move x: scan exactly
@@ -163,7 +166,9 @@ def _advance(
     # unsigned wrap makes each partial sum of packed steps the packed position
     dk = (dx.astype(np.uint64) << _SHIFT) + dy.astype(np.uint64)
     key0 = pack_xy(state.x, state.y)
-    keys = np.cumsum(dk[idx])
+    # idx < len(dk) by construction; mode="raise" would copy `out` first
+    keys = np.take(dk, idx, out=keys, mode="wrap")
+    np.cumsum(keys, out=keys)
     keys += np.uint64(key0)
     digits = None if primes is None else idx
     for obs in observers:
@@ -186,14 +191,23 @@ class WalkSession:
         self.observers = list(observers)
         self.state = state or WalkState()
         self._dx, self._dy = rule.delta_tables()
+        self._digits = self._keys = None  # per-batch buffers, grown to the largest batch
 
     def feed(self, primes: np.ndarray) -> None:
-        if len(primes):
+        n = len(primes)
+        if self._keys is None or n > len(self._keys):
+            self._digits, self._keys = np.empty(n, np.uint8), np.empty(n, np.uint64)
+        if n:
+            # p - 10 * (p // 10): numpy divides by a constant faster than it takes remainders
+            tens = np.floor_divide(primes, 10, out=self._keys[:n].view(np.int64))
+            tens *= 10
+            digits = np.subtract(primes, tens, out=self._digits[:n], casting="unsafe")
             self.state = _advance(
-                self.state, primes % 10, self._dx, self._dy, self.observers, primes
+                self.state, digits, self._dx, self._dy, self.observers, primes, self._keys[:n]
             )
 
     def finish(self, last_n: int) -> WalkState:
+        self._digits = self._keys = None
         self.state = replace(self.state, last_n=max(self.state.last_n, last_n))
         for obs in self.observers:
             obs.finish(self.state.last_n, self.state.steps_taken)
@@ -271,13 +285,14 @@ def run_random_walk(
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} outside [0, 2^64)")
     st = state or WalkState()
+    keys = np.empty(min(batch_size, max(steps - st.steps_taken, 0)), dtype=np.uint64)
     while st.steps_taken < steps:
         n = min(batch_size, steps - st.steps_taken)
         block = RandomSource.block_at(seed, st.steps_taken + 1, n)
         if np.any((block < 0.0) | (block >= 1.0)):
             raise ValueError("uniform source produced r outside [0, 1)")
         idx = (block / 0.25).astype(np.int64)
-        st = _advance(st, idx, _PEARSON_DX, _PEARSON_DY, observers)
+        st = _advance(st, idx, _PEARSON_DX, _PEARSON_DY, observers, keys=keys[:n])
     for obs in observers:
         obs.finish(st.last_n, st.steps_taken)
     return st

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -34,6 +35,11 @@ def _first_count(tiles, count, dtype=np.int32):
     tiles = tiles.astype(dtype)
     tiles.flat[0] = count
     return tiles
+
+
+def _config_with(blob, **fields):
+    """The config JSON `blob` with `fields` set."""
+    return json.dumps({**json.loads(blob), **fields}).encode()
 
 
 def read_summary(out_dir):
@@ -315,10 +321,15 @@ class TestResume:
             ("runs", "lengths", lambda a: a[:-1]),
             ("polar", "counts", lambda a: a[:50]),
             ("config", "json", lambda a: 5),
+            ("config", "json", lambda a: b"[1]"),
+            ("config", "json", lambda a: _config_with(a, bogus=1)),
+            ("config", "json", lambda a: _config_with(a, rule="a4")),
+            ("config", "json", lambda a: _config_with(a, checkpoint_factor="x")),
         ],
         ids=["duplicate-tile-id", "unsorted-tile-ids", "tiles-row-short", "count-past-int32",
              "negative-count", "tiles-past-walk-steps", "series-short", "lengths-short",
-             "50-bins", "config-json-not-bytes"],
+             "50-bins", "config-json-not-bytes", "config-json-list", "config-unknown-field",
+             "config-bad-rule", "config-factor-not-number"],
     )
     def test_malformed_section_refused(self, tmp_path, capsys, section, field, damage):
         out = tmp_path / "o"
@@ -326,6 +337,9 @@ class TestResume:
         ckpt = out / "checkpoint.pwlk"
         stored_hash, sections = read_checkpoint(ckpt)
         sections[section][field] = damage(sections[section][field])
+        if isinstance(sections[section][field], bytes):
+            # a damaged config that passes the hash check
+            stored_hash = hashlib.sha256(sections[section][field]).digest()
         write_checkpoint(ckpt, stored_hash, sections)
         capsys.readouterr()
         assert (

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from primewalk.walk import (
     unpack_key,
 )
 
-from conftest import SortedVisitMap, StepObserver, record_step
+from conftest import PathRecorder, SortedVisitMap, StepObserver, record_step
 
 TOP = (1 << 31) - 1
 # repeated cells, cells across tile edges, and the ends of the packable range
@@ -205,6 +206,22 @@ class TestAreaFromWalks:
         a, b = small.state(), default.state()
         assert a.keys() == b.keys()
         assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    def test_rw_thresholds_at_any_batch_size(self):
+        # the baseline's N is its step index, so a threshold's step is arithmetic
+        steps = 4_241  # a threshold of the default schedule
+        ts = list(itertools.takewhile(lambda t: t <= steps, checkpoint_schedule(1.25)))
+        assert ts[-1] == steps and sum(t % 3 == 0 for t in ts) >= 5
+        path, default = PathRecorder(), GridObserver()
+        run_random_walk(steps, 11, [default, path])
+        # area after t steps: the distinct cells of the path's first t + 1 points
+        assert list(default.series.rows()) == [(t, t, len(set(path.path[: t + 1]))) for t in ts]
+        for batch_size in (1, 7, 3):  # 3 puts the thresholds divisible by 3 on batch edges
+            g = GridObserver()
+            run_random_walk(steps, 11, [g], batch_size=batch_size)
+            a, b = g.state(), default.state()
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_restored_observer_continues_like_direct(self):
         first, direct = GridObserver(), GridObserver()

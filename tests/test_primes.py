@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,23 @@ class TestEventStream:
             list(iter_walk_prime_arrays(200_000, segment_flags=1024, threads=4))
         )
         assert np.array_equal(plain, threaded)
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_yielded_arrays_outlive_the_next_segment(self, threads):
+        # each thread reuses its own flag buffer; the prime arrays are the
+        # caller's.  A short switch interval interleaves the sieving threads.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            kept, copies = [], []
+            for arr in iter_walk_prime_arrays(200_000, segment_flags=256, threads=threads):
+                kept.append(arr)
+                copies.append(arr.copy())
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(kept) > 2 * threads
+        assert all(np.array_equal(a, c) for a, c in zip(kept, copies))
+        assert np.concatenate(kept).tolist() == walk_primes_oracle(200_000)
 
     def test_threaded_prefetch_is_bounded(self, monkeypatch):
         started = []

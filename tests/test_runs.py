@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primewalk.primes import WALK_DIGITS
 from primewalk.runs import (
     RunHistogram,
     RunLengthObserver,
@@ -129,6 +130,31 @@ class TestObserverStateRoundtrip:
             (7, 2): 1,
             (1, 1): 1,
         }
+
+
+# digits as runs of equal digits, short ones and ones longer than a uint8
+RUN_LENGTHS = st.one_of(st.integers(1, 4), st.integers(5, 300))
+RUN_DIGITS = st.lists(
+    st.tuples(st.sampled_from(WALK_DIGITS), RUN_LENGTHS), max_size=40
+).map(lambda runs: [d for d, n in runs for _ in range(n)])
+
+
+@given(RUN_DIGITS, st.lists(st.integers(0, 4), max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_uint8_digits_match_int64_and_scalar_oracle(digits, sizes):
+    """The engine's uint8 digits count like int64 digits, over any batch split."""
+    u8, i64, ref = RunLengthObserver(), RunLengthObserver(), ScalarRuns()
+    # batches of 0-4 digits (empty ones included), then the rest in one
+    cuts = np.cumsum(sizes).clip(max=len(digits)).tolist()
+    for a, b in zip([0, *cuts], [*cuts, len(digits)]):
+        u8.feed_digits(np.array(digits[a:b], dtype=np.uint8))
+        i64.feed_digits(np.array(digits[a:b], dtype=np.int64))
+    for d in digits:
+        ref.feed(d)
+    assert u8.hist.counts == i64.hist.counts == ref.counts
+    assert (u8.acc_digit, u8.acc_length) == (i64.acc_digit, i64.acc_length)
+    assert (u8.acc_digit, u8.acc_length) == (ref.digit or 0, ref.length)
+    assert u8.finalized_histogram().counts == ref.finalize()
 
 
 class TestShortRunFraction:

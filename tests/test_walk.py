@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primewalk.grid import GridObserver
-from primewalk.primes import WALK_DIGITS
+from primewalk.primes import WALK_DIGITS, iter_walk_prime_arrays
+from primewalk.runs import RunLengthObserver
 from primewalk.walk import (
     A1,
     A2,
@@ -164,6 +165,36 @@ class TestRunWalk:
         run_walk(5000, A3, [a], segment_flags=64)
         run_walk(5000, A3, [b], segment_flags=4096)
         assert a.path == b.path
+
+    def test_sessions_fed_alternately_match_runs_alone(self):
+        # session b is fed from inside a's batch, so a's observers that come
+        # after the feeder would see b's digits or keys if the scratch were shared
+        batches = list(iter_walk_prime_arrays(300_000, segment_flags=4096))
+
+        class FeedsOther(WalkObserver):
+            def __init__(self, other):
+                self.other = other
+
+            def observe(self, primes, digits, keys, key0):
+                self.other.feed(primes[1:])
+
+        def sessions(alternate):
+            a = WalkSession(A1, [GridObserver(), RunLengthObserver()])
+            b = WalkSession(A3, [GridObserver(), RunLengthObserver()])
+            if alternate:
+                a.observers.insert(0, FeedsOther(b))
+            for primes in batches:
+                a.feed(primes)
+                if not alternate:
+                    b.feed(primes[1:])
+            return a.finish(300_000), b.finish(300_000), a.observers[-2:] + b.observers
+
+        alone, alternate = sessions(False), sessions(True)
+        assert alone[:2] == alternate[:2]
+        for one, other in zip(alone[2], alternate[2]):
+            s, t = one.state(), other.state()
+            assert s.keys() == t.keys()
+            assert all(np.array_equal(s[k], t[k]) for k in s)
 
     @given(st.integers(min_value=0, max_value=3000))
     @settings(max_examples=20, deadline=None)
