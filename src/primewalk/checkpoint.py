@@ -1,8 +1,9 @@
-"""Binary checkpoint files: magic "PWLK", version, 32-byte config hash,
-length-prefixed payload, CRC32 of the payload.  The envelope is checked
-before the payload, an npz archive of "section/field" arrays, is loaded.
-The payload streams through the file in both directions, so neither a
-write nor a read holds a second copy of the arrays."""
+"""Binary checkpoint files: a header of magic "PWLK", version, 32-byte
+config hash, payload length and CRC32 of the payload, then the payload, an
+npz archive of "section/field" arrays, up to the end of the file.  The
+header's size and CRC checks pass before the payload is loaded.  The
+payload streams through the file in both directions, so neither a write
+nor a read holds a second copy of the arrays."""
 
 import os
 import struct
@@ -13,49 +14,13 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"PWLK"
-VERSION = 3
-_HEAD = struct.Struct("<4sI32sQ")
+VERSION = 4
+_HEAD = struct.Struct("<4sI32sQI")
 _CHUNK = 1 << 24
 
 
 class CheckpointError(Exception):
     """Corrupt, truncated or incompatible checkpoint file."""
-
-
-class _Payload:
-    """The payload bytes of an open checkpoint file, as a file of their own.
-
-    Positions are rebased to the payload's first byte, so the npz archive
-    comes out exactly as it would in memory; `length` bounds reads.
-    """
-
-    def __init__(self, fh, length: int | None = None):
-        self._fh = fh
-        self._base = _HEAD.size
-        self._length = length
-
-    def seekable(self) -> bool:
-        return True
-
-    def tell(self) -> int:
-        return self._fh.tell() - self._base
-
-    def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:
-        if whence == os.SEEK_CUR:
-            offset += self.tell()
-        elif whence == os.SEEK_END:
-            offset += self._length
-        return self._fh.seek(self._base + offset) - self._base
-
-    def read(self, n: int = -1) -> bytes:
-        left = max(self._length - self.tell(), 0)
-        return self._fh.read(left if n is None or n < 0 else min(n, left))
-
-    def write(self, data) -> int:
-        return self._fh.write(data)
-
-    def flush(self) -> None:
-        self._fh.flush()
 
 
 def _crc(fh, length: int) -> int:
@@ -94,13 +59,12 @@ def write_checkpoint(path, config_hash: bytes, sections: dict) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w+b") as fh:
-            fh.write(_HEAD.pack(MAGIC, VERSION, config_hash, 0))
-            np.savez(_Payload(fh), **{n: _encode(n, flat[n]) for n in sorted(flat)})
+            fh.write(_HEAD.pack(MAGIC, VERSION, config_hash, 0, 0))
+            np.savez(fh, **{n: _encode(n, flat[n]) for n in sorted(flat)})
             length = fh.seek(0, os.SEEK_END) - _HEAD.size
             crc = _crc(fh, length)
-            fh.write(struct.pack("<I", crc))
             fh.seek(0)
-            fh.write(_HEAD.pack(MAGIC, VERSION, config_hash, length))
+            fh.write(_HEAD.pack(MAGIC, VERSION, config_hash, length, crc))
         os.replace(tmp, path)
     except BaseException:
         # missing_ok: when the open itself failed, there is nothing to remove
@@ -113,18 +77,17 @@ def read_checkpoint(path) -> tuple[bytes, dict]:
         head = fh.read(_HEAD.size)
         if len(head) < _HEAD.size or head[:4] != MAGIC:
             raise CheckpointError("not a walk checkpoint file")
-        _, version, config_hash, length = _HEAD.unpack(head)
+        _, version, config_hash, length, crc = _HEAD.unpack(head)
         if version != VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version}")
-        if os.fstat(fh.fileno()).st_size != _HEAD.size + length + 4:
+        if os.fstat(fh.fileno()).st_size != _HEAD.size + length:
             raise CheckpointError("checkpoint size does not match its payload length")
-        crc = _crc(fh, length)
-        if struct.pack("<I", crc) != fh.read(4):
+        if _crc(fh, length) != crc:
             raise CheckpointError("checkpoint integrity check failed")
         fh.seek(_HEAD.size)
         sections: dict[str, dict] = {}
         try:
-            with np.load(_Payload(fh, length), allow_pickle=False) as npz:
+            with np.load(fh, allow_pickle=False) as npz:
                 for name in npz.files:
                     section, key = name.split("/")
                     sections.setdefault(section, {})[key] = _decode(npz[name])

@@ -5,11 +5,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+
+import numpy as np
 
 from . import benford, fitting, grid, polar, runs
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
@@ -27,6 +28,14 @@ ALL_ANALYSES = ("area", "runs", "benford", "polar", "recurrence")
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument the parser refuses is a usage error (exit 1), like any other."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
 
 
 def parse_number(text: str) -> int:
@@ -60,7 +69,6 @@ class RunConfig:
     limit: int = 0  # N for the prime rules, the step count for rw
     rule: str = "a1"
     seed: int = 0
-    checkpoint_factor: float = 1.25
     out_dir: Path = Path(".")
     analyses: tuple = ALL_ANALYSES
     threads: int = 1
@@ -68,10 +76,6 @@ class RunConfig:
 
     def __post_init__(self):
         self.analyses = tuple(self.analyses)
-        if not (math.isfinite(self.checkpoint_factor) and self.checkpoint_factor > 1.0):
-            raise UsageError(
-                f"--checkpoint-factor must be finite and exceed 1, got {self.checkpoint_factor}"
-            )
         if not 0 <= self.seed < 1 << 64:
             raise UsageError(f"--seed must lie in [0, 2^64), got {self.seed}")
         if self.rule not in (*RULES, "rw"):
@@ -85,18 +89,17 @@ class RunConfig:
         fields = {
             "rule": self.rule,
             "seed": self.seed,
-            "checkpoint_factor": self.checkpoint_factor,
             "analyses": sorted(self.analyses),
         }
         return json.dumps(fields, sort_keys=True).encode("utf-8")
 
 
-def _restore(sections: dict, name: str, restore, *args):
-    """restore(sections[name], *args); a missing or malformed section is a CheckpointError."""
+def _restore(sections: dict, name: str, restore):
+    """restore(sections[name]); a missing or malformed section is a CheckpointError."""
     if name not in sections:
         raise CheckpointError(f"checkpoint has no {name!r} section")
     try:
-        return restore(sections[name], *args)
+        return restore(sections[name])
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {name!r} section lacks {exc}") from None
     except (ValueError, TypeError, UsageError) as exc:
@@ -108,14 +111,14 @@ def build_analyzers(cfg: RunConfig, sections: dict | None = None) -> dict:
     calls them: fresh, or restored from checkpoint `sections`."""
     wanted = {}
     if {"area", "benford", "recurrence"} & set(cfg.analyses):
-        wanted["grid"] = (grid.GridObserver, cfg.checkpoint_factor)
+        wanted["grid"] = grid.GridObserver
     if "runs" in cfg.analyses and cfg.rule != "rw":
-        wanted["runs"] = (runs.RunLengthObserver,)
+        wanted["runs"] = runs.RunLengthObserver
     if "polar" in cfg.analyses:
-        wanted["polar"] = (polar.PolarObserver,)
+        wanted["polar"] = polar.PolarObserver
     return {
-        name: cls(*args) if sections is None else _restore(sections, name, cls.from_state, *args)
-        for name, (cls, *args) in wanted.items()
+        name: cls() if sections is None else _restore(sections, name, cls.from_state)
+        for name, cls in wanted.items()
     }
 
 
@@ -183,11 +186,9 @@ def write_outputs(cfg: RunConfig, analyzers: dict, summary, out_dir: Path):
 
 
 def _write_benford(vmap: grid.VisitMap, path, lines):
-    if len(vmap) == 0:
-        with open(path, "w", newline="") as fh:
-            fh.write("d,observed,expected\n")
-            for d in range(1, 10):
-                fh.write(f"{d},0.000000,{benford.benford_expected(d):.6f}\n")
+    if len(vmap) == 0:  # no visit counts: every observed proportion is 0
+        empty = benford.BenfordTable(np.zeros(9), benford.BENFORD_EXPECTED, 0, 0.0, 0.0)
+        benford.write_benford_csv(empty, path)
         return
     table = benford.benford_table(vmap.z_values())
     benford.write_benford_csv(table, path)
@@ -273,7 +274,6 @@ def _add_walk_flags(p: argparse.ArgumentParser):
     )
     p.add_argument("--rule", default="a1", choices=(*RULES, "rw"))
     p.add_argument("--seed", default="0", help="random baseline seed")
-    p.add_argument("--checkpoint-factor", type=float, default=1.25)
     p.add_argument(
         "--analyses",
         default=",".join(ALL_ANALYSES),
@@ -293,7 +293,6 @@ def _config_from_args(args) -> RunConfig:
         limit=parse_limit(args.limit),
         rule=args.rule,
         seed=parse_number(args.seed),
-        checkpoint_factor=args.checkpoint_factor,
         out_dir=Path(args.out),
         analyses=tuple(s for s in args.analyses.split(",") if s),
         threads=args.threads,
@@ -302,7 +301,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="primewalk",
         description="Prime-digit lattice walks and their statistics.",
     )
@@ -319,15 +318,14 @@ def main(argv=None) -> int:
 
     count_p = sub.add_parser("count", help="count walk primes up to a limit")
     count_p.add_argument("limit")
-    count_p.add_argument("--threads", type=int, default=1)
 
     try:
         args = parser.parse_args(argv)
+        if args.command == "count":
+            print(count_walk_primes(parse_limit(args.limit)))
+            return EXIT_OK
         if args.threads < 1:
             raise UsageError("threads must be >= 1")
-        if args.command == "count":
-            print(count_walk_primes(parse_limit(args.limit), threads=args.threads))
-            return EXIT_OK
         if args.command == "resume":
             return resume_walk(
                 Path(args.checkpoint),

@@ -11,7 +11,6 @@ ever returns to it, so `area` can exceed the number of stored cells by one.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -306,36 +305,27 @@ def recurrence_report(vmap: VisitMap) -> RecurrenceReport:
     )
 
 
-def checkpoint_schedule(factor: float, first: int = 10):
-    """Geometric checkpoint thresholds: n_0 = first, n_{k+1} >= n_k * factor."""
-    if not (math.isfinite(factor) and factor > 1.0):
-        raise ValueError(f"checkpoint factor must be finite and exceed 1, got {factor}")
-    n = first
+def checkpoint_schedule():
+    """The area series' thresholds of N: 10, then n_{k+1} = max(int(n_k * 1.25), n_k + 1)."""
+    n = 10
     while True:
         yield n
-        n = max(int(n * factor), n + 1)
+        n = max(int(n * 1.25), n + 1)
 
 
 class GridObserver(WalkObserver):
     """Walk observer maintaining the visit map and the area growth series.
 
-    Checkpoints are cut at fixed thresholds of the scanned integer N (the
-    driving prime for digit walks, the step index for the baseline), so the
-    recorded series is independent of batch boundaries and of any
-    checkpoint/resume split.
+    Series rows are cut at the `checkpoint_schedule` thresholds of the
+    scanned integer N (the driving prime for digit walks, the step index
+    for the baseline), so the recorded series is independent of batch
+    boundaries and of any checkpoint/resume split.
     """
 
-    def __init__(
-        self,
-        checkpoint_factor: float = 1.25,
-        *,
-        vmap: VisitMap | None = None,
-        series: AreaSeries | None = None,
-    ):
-        self.checkpoint_factor = checkpoint_factor
+    def __init__(self, *, vmap: VisitMap | None = None, series: AreaSeries | None = None):
         self.vmap = VisitMap() if vmap is None else vmap
         self.series = AreaSeries() if series is None else series
-        self._schedule = checkpoint_schedule(checkpoint_factor)
+        self._schedule = checkpoint_schedule()
         self._next_t = next(self._schedule)
         last_done = self.series.n[-1] if len(self.series) else 0
         while self._next_t <= last_done:
@@ -370,14 +360,14 @@ class GridObserver(WalkObserver):
         return s
 
     @classmethod
-    def from_state(cls, state: dict, checkpoint_factor: float) -> "GridObserver":
+    def from_state(cls, state: dict) -> "GridObserver":
         vmap = VisitMap.from_state(
             {k[4:]: v for k, v in state.items() if k.startswith("map_")}
         )
         series = AreaSeries.from_state(
             {k[7:]: v for k, v in state.items() if k.startswith("series_")}
         )
-        return cls(checkpoint_factor, vmap=vmap, series=series)
+        return cls(vmap=vmap, series=series)
 
 
 def write_visits_csv(vmap: VisitMap, path, *, max_cells: int = 50_000_000) -> None:

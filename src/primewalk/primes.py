@@ -9,6 +9,7 @@ downstream consumer sees the same stream.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -85,8 +86,10 @@ def _per_segment(
 ) -> Iterator:
     """fn(lo, hi, base) for each segment [lo, hi) of [start, limit], in order.
 
-    With threads > 1 a pool sieves ahead, but at most threads + 1 segments
-    are in flight, so finished results never pile up behind a slow consumer.
+    With threads > 1 a pool of min(threads, CPUs) workers sieves ahead, but
+    at most one segment more than the pool has workers is in flight, so
+    finished results never pile up behind a slow consumer and memory stays
+    bounded whatever `threads` asks for.
     """
     if segment_flags < 1:
         raise ValueError(f"segment_flags must be >= 1, got {segment_flags}")
@@ -95,15 +98,16 @@ def _per_segment(
     base = base_primes(math.isqrt(limit)), threading.local()
     span = 2 * segment_flags
     los = range(max(start, 2), limit + 1, span)
-    if threads <= 1:
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1:
         for lo in los:
             yield fn(lo, min(lo + span, limit + 1), base)
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         window = deque()
         for lo in los:
             window.append(pool.submit(fn, lo, min(lo + span, limit + 1), base))
-            if len(window) > threads:
+            if len(window) > workers:
                 yield window.popleft().result()
         while window:
             yield window.popleft().result()
@@ -132,9 +136,6 @@ def count_walk_primes(
     *,
     start: int = 2,
     segment_flags: int = DEFAULT_SEGMENT_FLAGS,
-    threads: int = 1,
 ) -> int:
     """Number of primes in [start, limit] with terminal digit in {1, 3, 7, 9}."""
-    return sum(
-        _per_segment(_count_walk_primes_in, limit, start, segment_flags, threads)
-    )
+    return sum(_per_segment(_count_walk_primes_in, limit, start, segment_flags, 1))

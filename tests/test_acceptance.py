@@ -49,7 +49,7 @@ def billion_run():
     grids = {}
     sessions = []
     for rule in (A1, A2, A3):
-        g = GridObserver(1.25)
+        g = GridObserver()
         grids[rule.name] = g
         sessions.append(WalkSession(rule, [g]))
     runs_obs = RunLengthObserver()
@@ -165,7 +165,7 @@ class TestCriterion5Benford:
         report("5b", ok, "proportion identities at 1e-12")
 
     def test_random_walk_population(self):
-        g = GridObserver(1.25)
+        g = GridObserver()
         run_random_walk(10**8, seed=1, observers=[g])
         table = benford_table(g.vmap.z_values())
         report(
@@ -279,7 +279,7 @@ class TestExtendedRuns:
         grids = {}
         sessions = []
         for rule in (A1, A2, A3):
-            g = GridObserver(1.25)
+            g = GridObserver()
             grids[rule.name] = g
             sessions.append(WalkSession(rule, [g]))
         for batch in iter_walk_prime_arrays(2 * 10**10, segment_flags=1 << 25):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from primewalk import checkpoint
+from primewalk.benford import benford_expected
 from primewalk.checkpoint import (
     CheckpointError,
     read_checkpoint,
@@ -113,6 +114,32 @@ class TestCount:
         assert run_cli("count", "1000", "--threads", "0") == EXIT_USAGE
 
 
+class TestArguments:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("walk", "--bogus"),
+            ("walk", "--threads", "x"),
+            ("walk", "--rule", "a4"),
+            ("walk", "--checkpoint-factor", "x"),
+            ("resume", "c.pwlk"),
+        ],
+        ids=["unknown-flag", "threads-not-int", "unknown-rule", "removed-flag",
+             "resume-without-limit"],
+    )
+    def test_parser_error_is_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert run_cli(*args, "--out", out) == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("walk", "--help")
+        assert info.value.code == 0
+        assert "--limit" in capsys.readouterr().out
+
+
 class TestWalkCommand:
     def test_full_artifacts(self, tmp_path):
         out = tmp_path / "r1"
@@ -132,6 +159,15 @@ class TestWalkCommand:
         assert summary["n_p"] == "0"
         assert summary["area"] == "1"
         assert (out / "area_series.csv").read_text() == "n,n_p,area\n0,0,1\n"
+
+    def test_empty_map_benford_csv(self, tmp_path):
+        # a zero-step walk: every observed proportion is 0, written like any other CSV
+        out = tmp_path / "e"
+        assert run_cli("walk", "--limit", "2", "--out", out) == EXIT_OK
+        lines = (out / "benford.csv").read_bytes().split(b"\r\n")
+        assert lines[0] == b"d,observed,expected" and lines[-1] == b""
+        rows = [f"{d},0.000000,{benford_expected(d):.6f}".encode() for d in range(1, 10)]
+        assert lines[1:-1] == rows
 
     def test_determinism_bytewise(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -273,13 +309,13 @@ class TestResume:
             == EXIT_CHECKPOINT
         )
 
-    def test_corrupt_payload_refused(self, tmp_path):
+    def test_corrupt_payload_refused(self, tmp_path, capsys):
         out = tmp_path / "o"
         run_cli("walk", "--limit", "50000", "--out", out)
         ckpt = out / "checkpoint.pwlk"
         good = ckpt.read_bytes()
-        # a flipped payload byte, then an intact file stamped VERSION 1 or 2
-        stamps = [(4, struct.pack("<I", v)) for v in (1, 2)]
+        # a flipped payload byte, then an intact file stamped VERSION 1, 2 or 3
+        stamps = [(4, struct.pack("<I", v)) for v in (1, 2, 3)]
         for at, patch in [(60, bytes([good[60] ^ 0xFF])), *stamps]:
             blob = bytearray(good)
             blob[at : at + len(patch)] = patch
@@ -288,6 +324,7 @@ class TestResume:
                 run_cli("resume", ckpt, "--limit", "100000", "--out", tmp_path / "x")
                 == EXIT_CHECKPOINT
             )
+        assert "unsupported checkpoint version 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section", ["config", "walk", "grid", "runs", "polar", "polar/counts"]
@@ -408,4 +445,21 @@ class TestCheckpointFormat:
         write_checkpoint(path, b"\x00" * 32, {"s": {"v": 1}})
         path.write_bytes(path.read_bytes()[:-6])
         with pytest.raises(CheckpointError):
+            read_checkpoint(path)
+
+    def test_bytes_after_the_archive_refused(self, tmp_path):
+        path = tmp_path / "c.pwlk"
+        write_checkpoint(path, b"\x00" * 32, {"s": {"v": 1}})
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="size does not match"):
+            read_checkpoint(path)
+
+    def test_header_crc_checked(self, tmp_path):
+        path = tmp_path / "c.pwlk"
+        write_checkpoint(path, b"\x00" * 32, {"s": {"v": 1}})
+        blob = bytearray(path.read_bytes())
+        assert blob[:4] == b"PWLK" and blob[4:8] == struct.pack("<I", 4)
+        blob[48] ^= 0x01  # the first byte of the payload CRC, after the length
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="integrity check failed"):
             read_checkpoint(path)

@@ -209,8 +209,8 @@ class TestAreaFromWalks:
 
     def test_rw_thresholds_at_any_batch_size(self):
         # the baseline's N is its step index, so a threshold's step is arithmetic
-        steps = 4_241  # a threshold of the default schedule
-        ts = list(itertools.takewhile(lambda t: t <= steps, checkpoint_schedule(1.25)))
+        steps = 4_241  # a threshold of the schedule
+        ts = list(itertools.takewhile(lambda t: t <= steps, checkpoint_schedule()))
         assert ts[-1] == steps and sum(t % 3 == 0 for t in ts) >= 5
         path, default = PathRecorder(), GridObserver()
         run_random_walk(steps, 11, [default, path])
@@ -227,7 +227,7 @@ class TestAreaFromWalks:
         first, direct = GridObserver(), GridObserver()
         part = run_random_walk(10_000, 3, [first])
         saved = first.state()
-        restored = GridObserver.from_state(saved, 1.25)
+        restored = GridObserver.from_state(saved)
         run_random_walk(100_000, 3, [restored], state=part)
         run_random_walk(100_000, 3, [direct])
         a, b = restored.state(), direct.state()
@@ -294,19 +294,12 @@ class TestAreaSeries:
             s.checkpoint(100, 20, 20)
 
     def test_schedule_is_geometric(self):
-        sched = checkpoint_schedule(1.25)
-        vals = [next(sched) for _ in range(10)]
-        assert vals[0] == 10
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-        assert vals[1] == 12
-
-    @pytest.mark.parametrize("factor", [1.0, 0.5, float("nan"), float("inf")])
-    def test_schedule_refuses_bad_factor(self, factor):
-        with pytest.raises(ValueError, match=f"factor must be finite and exceed 1, got {factor}"):
-            GridObserver(factor)
+        # the thresholds are the n column of area_series.csv
+        vals = list(itertools.islice(checkpoint_schedule(), 10))
+        assert vals == [10, 12, 15, 18, 22, 27, 33, 41, 51, 63]
 
     def test_observer_series_monotone(self):
-        g = GridObserver(checkpoint_factor=1.25)
+        g = GridObserver()
         run_walk(50_000, A1, [g])
         ns = g.series.n
         assert ns == sorted(ns)

