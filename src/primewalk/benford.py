@@ -8,23 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Benford's P(d) = log10(1 + 1/d) for leading digit d at index d - 1
 BENFORD_EXPECTED = np.array([math.log10(1 + 1 / d) for d in range(1, 10)])
-
-
-def benford_expected(d: int) -> float:
-    """log10(1 + 1/d) for a leading digit d in 1..9."""
-    if not 1 <= d <= 9:
-        raise ValueError(f"leading digit must be in 1..9, got {d}")
-    return float(BENFORD_EXPECTED[d - 1])
-
-
-def leading_digit(n: int) -> int:
-    """First decimal digit of a positive integer."""
-    if n < 1:
-        raise ValueError(f"leading digit needs a positive integer, got {n}")
-    while n >= 10:
-        n //= 10
-    return n
 
 
 def leading_digits(values: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
@@ -16,7 +16,7 @@ from . import benford, fitting, grid, polar, runs
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .primes import count_walk_primes
 from .runs import short_run_fraction
-from .walk import RULES, WalkState, run_random_walk, run_walk
+from .walk import RULES, WalkState, pack_xy, run_random_walk, run_walk
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,6 +83,8 @@ class RunConfig:
         bad = set(self.analyses) - set(ALL_ANALYSES)
         if bad:
             raise UsageError(f"unknown analyses: {sorted(bad)}")
+        if self.threads < 1:
+            raise UsageError(f"--threads must be >= 1, got {self.threads}")
 
     def identity(self) -> bytes:
         """Canonical JSON of the fields a resumed run must agree on."""
@@ -242,7 +244,11 @@ def execute_walk(
 
 
 def _walk_state(s: dict) -> WalkState:
-    return WalkState(int(s["x"]), int(s["y"]), int(s["steps"]), int(s["n"]))
+    state = WalkState(int(s["x"]), int(s["y"]), int(s["steps"]), int(s["n"]))
+    pack_xy(state.x, state.y)  # raises for a position outside the packable range
+    if state.steps_taken < 0 or state.last_n < 0:
+        raise ValueError(f"steps {state.steps_taken} and n {state.last_n} must be >= 0")
+    return state
 
 
 def resume_walk(path, target: int, **runtime) -> int:
@@ -252,17 +258,20 @@ def resume_walk(path, target: int, **runtime) -> int:
     if digest != stored_hash:
         raise CheckpointError("checkpoint config hash mismatch")
     # the checkpoint owns the run identity; a tampered one fails the hash above
-    cfg = _restore(
-        sections, "config", lambda s: RunConfig(limit=target, **runtime, **json.loads(s["json"]))
-    )
+    stored = _restore(sections, "config", lambda s: RunConfig(**json.loads(s["json"])))
+    cfg = replace(stored, limit=target, **runtime)
     state = _restore(sections, "walk", _walk_state)
     if target <= state.last_n:
         raise CheckpointError(
             f"new limit {target} must exceed checkpointed progress {state.last_n}"
         )
     analyzers = build_analyzers(cfg, sections)
-    if "grid" in analyzers and analyzers["grid"].steps != state.steps_taken:
+    g = analyzers.get("grid")
+    if g is not None and g.steps != state.steps_taken:
         raise CheckpointError("checkpoint 'grid' section's visits differ from the walk's steps")
+    if g is not None and state.steps_taken and not g.vmap.count_at(state.x, state.y):
+        pos = f"({state.x}, {state.y})"
+        raise CheckpointError(f"checkpoint 'walk' section's position {pos} has no 'grid' visit")
     del sections  # the analyzers hold copies; free the restored arrays
     return execute_walk(cfg, analyzers, state)
 
@@ -324,8 +333,6 @@ def main(argv=None) -> int:
         if args.command == "count":
             print(count_walk_primes(parse_limit(args.limit)))
             return EXIT_OK
-        if args.threads < 1:
-            raise UsageError("threads must be >= 1")
         if args.command == "resume":
             return resume_walk(
                 Path(args.checkpoint),

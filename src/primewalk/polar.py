@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,38 +25,25 @@ DPHI_BINS = 100
 DPHI_EDGES = np.linspace(-math.pi, math.pi, DPHI_BINS + 1)
 
 
-def to_polar(x: int, y: int) -> tuple[float, float]:
-    """(radius, angle) of a lattice position; angle in (-pi, pi]."""
-    if x == 0 and y == 0:
-        raise ValueError("angle undefined at the origin")
-    phi = math.atan2(y, x)
-    if phi <= -math.pi:
-        phi = math.pi
-    return math.hypot(x, y), phi
-
-
 def wrap_angle(d: np.ndarray) -> np.ndarray:
     """Wrap raw angle differences into (-pi, pi]."""
     d = np.where(d > math.pi, d - TWO_PI, d)
     return np.where(d <= -math.pi, d + TWO_PI, d)
 
 
-def delta_phi_histogram(d_phi: np.ndarray, bin_count: int):
-    """Uniform-width histogram of angle increments over (-pi, pi].
+def delta_phi_histogram(d_phi: np.ndarray) -> np.ndarray:
+    """Counts of angle increments per bin (DPHI_EDGES[i], DPHI_EDGES[i + 1]].
 
-    Returns (edges, counts); counts always sum to the sample count.  A
-    sample outside (-pi, pi], NaN included, raises ValueError.
+    The counts always sum to the sample count.  A sample outside (-pi, pi],
+    NaN included, raises ValueError.
     """
-    if bin_count < 1:
-        raise ValueError("bin_count must be >= 1")
-    edges = np.linspace(-math.pi, math.pi, bin_count + 1)
     d = np.asarray(d_phi, dtype=np.float64)
     inside = (d > -math.pi) & (d <= math.pi)
     if not inside.all():
         bad = d[~inside][0]
         raise ValueError(f"angle increment {bad!r} lies outside (-pi, pi]")
-    idx = np.searchsorted(edges, d, side="left") - 1
-    return edges, np.bincount(idx, minlength=bin_count).astype(np.int64)
+    idx = np.searchsorted(DPHI_EDGES, d, side="left") - 1
+    return np.bincount(idx, minlength=DPHI_BINS).astype(np.int64)
 
 
 @dataclass
@@ -89,7 +77,7 @@ class PolarObserver(WalkObserver):
         off_origin = (px != 0) | (py != 0)
         keep = off_origin[:-1] & off_origin[1:]
         d_phi = wrap_angle(np.diff(np.arctan2(py, px))[keep])
-        self.deltas.counts += delta_phi_histogram(d_phi, DPHI_BINS)[1]
+        self.deltas.counts += delta_phi_histogram(d_phi)
         self.deltas.skipped += len(keep) - int(np.count_nonzero(keep))
 
     def state(self) -> dict:
@@ -97,10 +85,13 @@ class PolarObserver(WalkObserver):
 
     @classmethod
     def from_state(cls, state: dict) -> "PolarObserver":
-        counts = np.array(state["counts"], dtype=np.int64)
-        if counts.shape != (DPHI_BINS,):
-            raise ValueError(f"dphi counts have shape {counts.shape}, not ({DPHI_BINS},)")
-        return cls(PolarDeltas(counts=counts, skipped=int(state["skipped"])))
+        raw = np.asarray(state["counts"])
+        if raw.shape != (DPHI_BINS,) or raw.dtype.kind not in "iu":
+            raise ValueError(f"dphi counts are {raw.dtype} {raw.shape}, not {DPHI_BINS} integers")
+        counts, skipped = raw.astype(np.int64), operator.index(state["skipped"])
+        if counts.min() < 0 or skipped < 0:
+            raise ValueError("dphi counts and the skip tally must be >= 0")
+        return cls(PolarDeltas(counts=counts, skipped=skipped))
 
 
 def box_counting_dimension(

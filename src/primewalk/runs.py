@@ -11,7 +11,7 @@ import csv
 
 import numpy as np
 
-from .primes import DEFAULT_SEGMENT_FLAGS, WALK_DIGITS, iter_walk_prime_arrays
+from .primes import WALK_DIGITS
 from .walk import WalkObserver
 
 
@@ -67,6 +67,8 @@ class RunHistogram:
         h = cls()
         rows = zip(state["digits"], state["lengths"], state["occurrences"], strict=True)
         for d, ln, c in rows:
+            if d not in WALK_DIGITS or ln < 1 or c < 1:
+                raise ValueError(f"run ({d}, {ln}) x {c}: not a walk digit, or a count < 1")
             h.add(int(d), int(ln), int(c))
         return h
 
@@ -134,21 +136,10 @@ class RunLengthObserver(WalkObserver):
 
     @classmethod
     def from_state(cls, state: dict) -> "RunLengthObserver":
-        return cls(
-            RunHistogram.from_state(state),
-            int(state["acc_digit"]),
-            int(state["acc_length"]),
-        )
-
-
-def run_histogram(
-    limit: int, *, segment_flags: int = DEFAULT_SEGMENT_FLAGS
-) -> RunHistogram:
-    """Full run-length histogram over the event stream up to `limit`."""
-    obs = RunLengthObserver()
-    for batch in iter_walk_prime_arrays(limit, segment_flags=segment_flags):
-        obs.feed_digits(batch % 10)
-    return obs.finalized_histogram()
+        digit, length = int(state["acc_digit"]), int(state["acc_length"])
+        if digit not in (0, *WALK_DIGITS) or length < 0 or (length == 0) != (digit == 0):
+            raise ValueError(f"open run ({digit}, {length}) is neither (0, 0) nor a walk run")
+        return cls(RunHistogram.from_state(state), digit, length)
 
 
 def short_run_fraction(hist: RunHistogram) -> float:

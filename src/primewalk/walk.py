@@ -29,10 +29,6 @@ class Direction(Enum):
     RIGHT = (1, 0)
     LEFT = (-1, 0)
 
-    @property
-    def delta(self) -> tuple[int, int]:
-        return self.value
-
 
 @dataclass(frozen=True)
 class WalkRule:
@@ -47,18 +43,12 @@ class WalkRule:
         if sorted(digits) != list(WALK_DIGITS) or len(set(dirs)) != 4:
             raise ValueError(f"rule {self.name!r} is not a digit->direction bijection")
 
-    def direction(self, digit: int) -> Direction:
-        for d, v in self.mapping:
-            if d == digit:
-                return v
-        raise ValueError(f"digit must be one of {WALK_DIGITS}, got {digit}")
-
     def delta_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """dx/dy lookup tables indexed by digit (0..9)."""
         dx = np.zeros(10, dtype=np.int64)
         dy = np.zeros(10, dtype=np.int64)
         for d, v in self.mapping:
-            dx[d], dy[d] = v.delta
+            dx[d], dy[d] = v.value
         return dx, dy
 
 
@@ -237,10 +227,6 @@ def run_walk(
 
 _GAMMA = 0x9E3779B97F4A7C15
 
-# Fixed index -> direction table for floor(r / 0.25), mirroring the digit
-# order 1, 3, 7, 9 of rule A1.
-PEARSON_DIRECTIONS = (Direction.DOWN, Direction.UP, Direction.RIGHT, Direction.LEFT)
-
 
 def _mix(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
@@ -263,8 +249,8 @@ class RandomSource:
         return (_mix(z) >> np.uint64(11)) * (2.0 ** -53)
 
 
-_PEARSON_DX = np.array([d.delta[0] for d in PEARSON_DIRECTIONS], dtype=np.int64)
-_PEARSON_DY = np.array([d.delta[1] for d in PEARSON_DIRECTIONS], dtype=np.int64)
+# floor(r / 0.25) = i moves as rule A1 moves on the digit WALK_DIGITS[i]
+_RW_DX, _RW_DY = (t[list(WALK_DIGITS)] for t in A1.delta_tables())
 
 
 def run_random_walk(
@@ -277,10 +263,10 @@ def run_random_walk(
 ) -> WalkState:
     """Execute `steps` uniform four-direction moves from the seeded source.
 
-    Step i takes direction PEARSON_DIRECTIONS[floor(r_i / 0.25)] for the i-th
-    uniform r_i, so resuming from `state` continues the generator at index
-    state.steps_taken + 1 and replays the exact tail of the uninterrupted
-    sequence.  `seed` must lie in [0, 2^64).
+    Step i moves as rule A1 moves on digit WALK_DIGITS[floor(r_i / 0.25)]
+    for the i-th uniform r_i, so resuming from `state` continues the
+    generator at index state.steps_taken + 1 and replays the exact tail of
+    the uninterrupted sequence.  `seed` must lie in [0, 2^64).
     """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} outside [0, 2^64)")
@@ -292,7 +278,7 @@ def run_random_walk(
         if np.any((block < 0.0) | (block >= 1.0)):
             raise ValueError("uniform source produced r outside [0, 1)")
         idx = (block / 0.25).astype(np.int64)
-        st = _advance(st, idx, _PEARSON_DX, _PEARSON_DY, observers, keys=keys[:n])
+        st = _advance(st, idx, _RW_DX, _RW_DY, observers, keys=keys[:n])
     for obs in observers:
         obs.finish(st.last_n, st.steps_taken)
     return st

@@ -8,13 +8,15 @@ import numpy as np
 
 from primewalk.polar import wrap_angle
 from primewalk.primes import DEFAULT_SEGMENT_FLAGS, WALK_DIGITS, iter_walk_prime_arrays
+from primewalk.runs import RunHistogram, RunLengthObserver
 from primewalk.walk import (
-    PEARSON_DIRECTIONS,
+    A1,
     Direction,
     WalkObserver,
     WalkRule,
     WalkState,
     pack_xy,
+    run_walk,
     unpack_key,
 )
 
@@ -46,7 +48,7 @@ def iter_events(limit, *, segment_flags=DEFAULT_SEGMENT_FLAGS):
 
 def step(state: WalkState, digit: int, rule: WalkRule) -> WalkState:
     """Scalar walk oracle: advance one event; returns the new state."""
-    dx, dy = rule.direction(digit).delta
+    dx, dy = dict(rule.mapping)[digit].value
     return replace(state, x=state.x + dx, y=state.y + dy, steps_taken=state.steps_taken + 1)
 
 
@@ -85,7 +87,16 @@ def pearson_direction(r: float) -> Direction:
     """Uniform r in [0, 1) -> one of the four directions via floor(r / 0.25)."""
     if not 0.0 <= r < 1.0:
         raise ValueError(f"r must lie in [0, 1), got {r}")
-    return PEARSON_DIRECTIONS[int(r / 0.25)]
+    return (Direction.DOWN, Direction.UP, Direction.RIGHT, Direction.LEFT)[int(r / 0.25)]
+
+
+def leading_digit(n: int) -> int:
+    """First decimal digit of a positive integer."""
+    if n < 1:
+        raise ValueError(f"leading digit needs a positive integer, got {n}")
+    while n >= 10:
+        n //= 10
+    return n
 
 
 def record_step(vmap, x: int, y: int) -> None:
@@ -176,6 +187,13 @@ class ScalarRuns:
         return self.counts
 
 
+def walk_run_histogram(limit: int, **kwargs) -> RunHistogram:
+    """Run-length histogram of the walk primes up to `limit`, as the CLI builds it."""
+    obs = RunLengthObserver()
+    run_walk(limit, A1, [obs], **kwargs)
+    return obs.finalized_histogram()
+
+
 class PathRecorder(WalkObserver):
     """Keeps the whole trajectory, origin first, as a list of (x, y)."""
 
@@ -184,6 +202,16 @@ class PathRecorder(WalkObserver):
 
     def observe(self, primes, digits, keys, key0):
         self.path.extend(unpack_key(key) for key in keys.tolist())
+
+
+def to_polar(x: int, y: int) -> tuple[float, float]:
+    """(radius, angle) of a lattice position; angle in (-pi, pi]."""
+    if x == 0 and y == 0:
+        raise ValueError("angle undefined at the origin")
+    phi = math.atan2(y, x)
+    if phi <= -math.pi:
+        phi = math.pi
+    return math.hypot(x, y), phi
 
 
 class DeltaCloud(NamedTuple):

@@ -29,7 +29,6 @@ from conftest import PathRecorder, StepObserver, delta_series
 
 LIMIT_1E9 = 10**9
 BENFORD_MAX_ABS_DEV = 0.04  # frozen after the calibration run at these scales
-SEGMENT = 1 << 24
 
 extended = pytest.mark.skipif(
     not os.environ.get("PRIMEWALK_EXTENDED"),
@@ -54,7 +53,7 @@ def billion_run():
         sessions.append(WalkSession(rule, [g]))
     runs_obs = RunLengthObserver()
     digit_chunks = []
-    for batch in iter_walk_prime_arrays(LIMIT_1E9, segment_flags=SEGMENT):
+    for batch in iter_walk_prime_arrays(LIMIT_1E9):
         digits = batch % 10
         digit_chunks.append(digits.astype(np.uint8))
         runs_obs.feed_digits(digits)
@@ -73,11 +72,9 @@ def billion_run():
 
 class TestCriterion1PrimeCountAnchor:
     def test_count_1e10_and_2e10(self):
-        c1 = count_walk_primes(10**10, segment_flags=SEGMENT)
+        c1 = count_walk_primes(10**10)
         report("1a", c1 == 455_052_509, f"count(1e10) = {c1}")
-        c2 = c1 + count_walk_primes(
-            2 * 10**10, start=10**10 + 1, segment_flags=SEGMENT
-        )
+        c2 = c1 + count_walk_primes(2 * 10**10, start=10**10 + 1)
         # pi(2e10) = 882,206,716, so excluding 2 and 5 gives 882,206,714;
         # the published 882,206,715 equals pi(2e10) - 1, an off-by-one in
         # the source's convention (its own 1e10 figure matches exclude-both)

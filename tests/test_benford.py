@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primewalk.benford import (
-    benford_expected,
-    benford_table,
-    leading_digit,
-    leading_digits,
-)
+from primewalk.benford import BENFORD_EXPECTED, benford_table, leading_digits
+
+from conftest import leading_digit
 
 
 class TestLeadingDigit:
@@ -18,12 +15,16 @@ class TestLeadingDigit:
         assert leading_digit(1) == 1
         assert leading_digit(455_052_509) == 4
         assert leading_digit(907) == 9
+        assert leading_digits(np.array([1, 455_052_509, 907])).tolist() == [1, 4, 9]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             leading_digit(0)
         with pytest.raises(ValueError):
             leading_digit(-5)
+        for values in ([0], [3, -5]):
+            with pytest.raises(ValueError):
+                leading_digits(np.array(values))
 
     def test_vectorized_matches_scalar(self):
         values = np.arange(1, 5000)
@@ -33,21 +34,14 @@ class TestLeadingDigit:
 
 class TestExpected:
     def test_log10_two(self):
-        assert benford_expected(1) == pytest.approx(math.log10(2), abs=1e-15)
+        assert BENFORD_EXPECTED[0] == pytest.approx(math.log10(2), abs=1e-15)
 
     def test_digit_nine(self):
-        assert benford_expected(9) == pytest.approx(math.log10(10 / 9), abs=1e-15)
+        assert BENFORD_EXPECTED[9 - 1] == pytest.approx(math.log10(10 / 9), abs=1e-15)
 
     def test_telescoping_sum(self):
-        assert sum(benford_expected(d) for d in range(1, 10)) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            benford_expected(0)
-        with pytest.raises(ValueError):
-            benford_expected(10)
+        assert len(BENFORD_EXPECTED) == 9
+        assert BENFORD_EXPECTED.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBenfordTable:

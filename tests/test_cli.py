@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from primewalk import checkpoint
-from primewalk.benford import benford_expected
+from primewalk.benford import BENFORD_EXPECTED
 from primewalk.checkpoint import (
     CheckpointError,
     read_checkpoint,
@@ -166,7 +166,7 @@ class TestWalkCommand:
         assert run_cli("walk", "--limit", "2", "--out", out) == EXIT_OK
         lines = (out / "benford.csv").read_bytes().split(b"\r\n")
         assert lines[0] == b"d,observed,expected" and lines[-1] == b""
-        rows = [f"{d},0.000000,{benford_expected(d):.6f}".encode() for d in range(1, 10)]
+        rows = [f"{d},0.000000,{BENFORD_EXPECTED[d - 1]:.6f}".encode() for d in range(1, 10)]
         assert lines[1:-1] == rows
 
     def test_determinism_bytewise(self, tmp_path):
@@ -223,6 +223,7 @@ class TestWalkCommand:
             ("--checkpoint-factor", "inf"),
             ("--seed", "-1"),
             ("--seed", str(1 << 64)),
+            ("--threads", "0"),
         ],
     )
     def test_out_of_range_is_usage_error(self, tmp_path, capsys, flag, value):
@@ -362,11 +363,20 @@ class TestResume:
             ("config", "json", lambda a: _config_with(a, bogus=1)),
             ("config", "json", lambda a: _config_with(a, rule="a4")),
             ("config", "json", lambda a: _config_with(a, checkpoint_factor="x")),
+            ("polar", "counts", lambda a: -a),
+            ("polar", "counts", lambda a: a + 0.5),
+            ("polar", "skipped", lambda a: -5),
+            ("runs", "acc_digit", lambda a: 4),
+            ("runs", "occurrences", lambda a: -a),
+            ("walk", "x", lambda a: 2**40),
+            ("walk", "x", lambda a: a + 10**4),  # past the 9,592 steps of the walk
         ],
         ids=["duplicate-tile-id", "unsorted-tile-ids", "tiles-row-short", "count-past-int32",
              "negative-count", "tiles-past-walk-steps", "series-short", "lengths-short",
              "50-bins", "config-json-not-bytes", "config-json-list", "config-unknown-field",
-             "config-bad-rule", "config-factor-not-number"],
+             "config-bad-rule", "config-factor-not-number", "polar-negative-counts",
+             "polar-fractional-counts", "polar-negative-skipped", "runs-open-digit-4",
+             "runs-negative-occurrences", "walk-x-unpackable", "walk-x-off-path"],
     )
     def test_malformed_section_refused(self, tmp_path, capsys, section, field, damage):
         out = tmp_path / "o"

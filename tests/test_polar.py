@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from primewalk.polar import (
     DPHI_BINS,
+    DPHI_EDGES,
     PolarObserver,
     box_counting_dimension,
     delta_phi_histogram,
-    to_polar,
     wrap_angle,
 )
 from primewalk.walk import A1, run_random_walk, run_walk
 
-from conftest import PathRecorder, delta_series
+from conftest import PathRecorder, delta_series, to_polar
 
 
 class TestToPolar:
@@ -74,6 +74,13 @@ class TestDeltaSeries:
         assert np.all(np.abs(d.d_r) <= 1.0 + 1e-12)
         assert np.all(d.d_phi > -math.pi)
         assert np.all(d.d_phi <= math.pi)
+        # the scalar oracle gives the same increments, pair by pair
+        for i, step in enumerate(d.steps.tolist()):
+            (r0, phi0), (r1, phi1) = to_polar(*pos[step - 1]), to_polar(*pos[step])
+            assert d.d_r[i] == pytest.approx(r1 - r0, abs=1e-12)
+            assert d.d_phi[i] == pytest.approx(
+                float(wrap_angle(np.array([phi1 - phi0]))[0]), abs=1e-12
+            )
 
     # raw angle differences of two (-pi, pi] angles always lie in (-2pi, 2pi)
     @given(st.floats(min_value=-2 * math.pi + 1e-9, max_value=2 * math.pi - 1e-9))
@@ -90,7 +97,7 @@ def assert_matches_posthoc_series(walk):
     obs = PolarObserver()
     walk([rec, obs])
     post = delta_series(rec.path)
-    _, counts = delta_phi_histogram(post.d_phi, DPHI_BINS)
+    counts = delta_phi_histogram(post.d_phi)
     assert np.array_equal(obs.deltas.counts, counts)
     assert obs.deltas.skipped == post.skipped
     assert len(obs.deltas) == len(post)
@@ -129,34 +136,36 @@ class TestPolarObserver:
 
 
 class TestDeltaPhiHistogram:
+    """Bin i of DPHI_EDGES holds the samples d with edges[i] < d <= edges[i + 1]."""
+
     def test_single_zero_sample(self):
-        edges, counts = delta_phi_histogram(np.array([0.0]), 4)
+        counts = delta_phi_histogram(np.array([0.0]))
         assert counts.sum() == 1
-        assert counts[1] == 1  # bin (-pi/2, 0]
+        (i,) = np.flatnonzero(counts)
+        assert DPHI_EDGES[i] < 0.0 <= DPHI_EDGES[i + 1]
 
     def test_empty(self):
-        edges, counts = delta_phi_histogram(np.array([]), 8)
-        assert counts.tolist() == [0] * 8
+        counts = delta_phi_histogram(np.array([]))
+        assert counts.tolist() == [0] * DPHI_BINS
 
     def test_counts_sum(self):
         rng = np.random.default_rng(2)
-        samples = rng.uniform(-math.pi + 1e-9, math.pi, size=10_000)
-        for bins in (1, 5, 17, 100):
-            _, counts = delta_phi_histogram(samples, bins)
-            assert counts.sum() == 10_000
+        # uniform samples, and every edge but -pi: each belongs to the bin below it
+        samples = np.concatenate((rng.uniform(-math.pi + 1e-9, math.pi, size=10_000),
+                                  DPHI_EDGES[1:]))
+        counts = delta_phi_histogram(samples)
+        assert counts.sum() == len(samples)
+        lo, hi = DPHI_EDGES[:-1, None], DPHI_EDGES[1:, None]
+        assert counts.tolist() == ((samples > lo) & (samples <= hi)).sum(axis=1).tolist()
 
     def test_boundary_pi_in_last_bin(self):
-        _, counts = delta_phi_histogram(np.array([math.pi]), 4)
-        assert counts[3] == 1
-
-    def test_bad_bins(self):
-        with pytest.raises(ValueError):
-            delta_phi_histogram(np.array([0.0]), 0)
+        counts = delta_phi_histogram(np.array([math.pi]))
+        assert counts[DPHI_BINS - 1] == 1
 
     @pytest.mark.parametrize("value", [4.0, math.nan, -4.0, -math.pi])
     def test_out_of_range_refused(self, value):
         with pytest.raises(ValueError, match="outside"):
-            delta_phi_histogram(np.array([0.0, value]), 4)
+            delta_phi_histogram(np.array([0.0, value]))
 
 
 class TestBoxCounting:

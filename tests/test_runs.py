@@ -6,14 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primewalk.primes import WALK_DIGITS
-from primewalk.runs import (
-    RunHistogram,
-    RunLengthObserver,
-    run_histogram,
-    short_run_fraction,
-)
+from primewalk.runs import RunHistogram, RunLengthObserver, short_run_fraction
 
-from conftest import ScalarRuns, iter_events, walk_primes_oracle
+from conftest import ScalarRuns, iter_events, walk_primes_oracle, walk_run_histogram
 
 
 def two_pass_oracle(digits):
@@ -75,14 +70,14 @@ class TestFeedFinalize:
 class TestRunHistogram:
     def test_primes_to_200_has_double_nine(self):
         # 139 and 149 are consecutive primes, both ending in 9
-        hist = run_histogram(200)
+        hist = walk_run_histogram(200)
         oracle = two_pass_oracle([p % 10 for p in walk_primes_oracle(200)])
         assert hist.counts == oracle
         assert hist.occurrences(9, 2) >= 1
 
     def test_partition_identity(self):
         for limit in (0, 10, 1000, 50_000):
-            hist = run_histogram(limit)
+            hist = walk_run_histogram(limit)
             assert hist.total_events == sum(
                 1 for _ in iter_events(limit)
             )
@@ -90,14 +85,14 @@ class TestRunHistogram:
     def test_streaming_equals_two_pass_oracle(self):
         limit = 300_000
         digits = [e.digit for e in iter_events(limit)]
-        assert run_histogram(limit).counts == two_pass_oracle(digits)
+        assert walk_run_histogram(limit).counts == two_pass_oracle(digits)
 
     @given(st.sampled_from([64, 512, 1 << 14]))
     @settings(max_examples=6, deadline=None)
     def test_segment_size_invariant(self, flags):
         assert (
-            run_histogram(100_000, segment_flags=flags).counts
-            == run_histogram(100_000).counts
+            walk_run_histogram(100_000, segment_flags=flags).counts
+            == walk_run_histogram(100_000).counts
         )
 
     def test_max_length_per_digit(self):
@@ -174,5 +169,5 @@ class TestShortRunFraction:
             short_run_fraction(RunHistogram())
 
     def test_realistic_fraction_dominates(self):
-        hist = run_histogram(10**6)
+        hist = walk_run_histogram(10**6)
         assert short_run_fraction(hist) > 0.9

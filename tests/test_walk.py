@@ -34,27 +34,30 @@ from conftest import (
 
 class TestRules:
     def test_a1_table(self):
-        assert A1.direction(1) is Direction.DOWN
-        assert A1.direction(3) is Direction.UP
-        assert A1.direction(7) is Direction.RIGHT
-        assert A1.direction(9) is Direction.LEFT
+        assert dict(A1.mapping) == {
+            1: Direction.DOWN, 3: Direction.UP, 7: Direction.RIGHT, 9: Direction.LEFT
+        }
+        dx, dy = A1.delta_tables()
+        assert list(zip(dx.tolist(), dy.tolist())) == [
+            (0, 0), (0, -1), (0, 0), (0, 1), (0, 0), (0, 0), (0, 0), (1, 0), (0, 0), (-1, 0)
+        ]
 
     def test_a2_a3_spot_checks(self):
-        assert A2.direction(7) is Direction.DOWN
-        assert A2.direction(1) is Direction.RIGHT
-        assert A3.direction(9) is Direction.DOWN
-        assert A3.direction(1) is Direction.LEFT
+        assert dict(A2.mapping)[7] is Direction.DOWN
+        assert dict(A2.mapping)[1] is Direction.RIGHT
+        assert dict(A3.mapping)[9] is Direction.DOWN
+        assert dict(A3.mapping)[1] is Direction.LEFT
 
     def test_bad_digit_rejected(self):
-        with pytest.raises(ValueError):
-            A1.direction(2)
-        with pytest.raises(ValueError):
-            A1.direction(0)
+        for bad in (2, 0):
+            with pytest.raises(ValueError):
+                WalkRule("bad", ((bad, Direction.DOWN), (3, Direction.UP),
+                                 (7, Direction.RIGHT), (9, Direction.LEFT)))
 
     def test_rules_are_bijections(self):
         for rule in RULES.values():
-            dirs = {rule.direction(d) for d in (1, 3, 7, 9)}
-            assert dirs == set(Direction)
+            assert sorted(dict(rule.mapping)) == list(WALK_DIGITS)
+            assert set(dict(rule.mapping).values()) == set(Direction)
 
     def test_non_bijection_rejected(self):
         with pytest.raises(ValueError):
@@ -100,7 +103,7 @@ class TestStep:
         for a in (1, 3, 7, 9):
             for b in (1, 3, 7, 9):
                 if a < b:
-                    da, db = rule.direction(a).delta, rule.direction(b).delta
+                    da, db = dict(rule.mapping)[a].value, dict(rule.mapping)[b].value
                     if (da[0] + db[0], da[1] + db[1]) == (0, 0):
                         pairs.append((a, b))
         return pairs
@@ -266,7 +269,7 @@ class TestRandomSource:
         assert a.path == b.path
         src, pos, oracle = ScalarRandomSource(5), (0, 0), []
         for _ in range(1000):
-            dx, dy = pearson_direction(src.next_float()).delta
+            dx, dy = pearson_direction(src.next_float()).value
             pos = (pos[0] + dx, pos[1] + dy)
             oracle.append(pos)
         assert a.path == oracle
