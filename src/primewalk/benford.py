@@ -14,13 +14,13 @@ BENFORD_EXPECTED = np.array([math.log10(1 + 1 / d) for d in range(1, 10)])
 
 def leading_digits(values: np.ndarray) -> np.ndarray:
     """Vectorized leading digits; exact (integer halving by powers of ten)."""
-    v = np.asarray(values, dtype=np.int64).copy()
+    v = np.array(values, dtype=np.int64)
     if len(v) and v.min() < 1:
         raise ValueError("all values must be positive integers")
     big = v >= 10
     while big.any():
-        v[big] //= 10
-        big = v >= 10
+        np.floor_divide(v, 10, out=v, where=big)
+        np.greater_equal(v, 10, out=big)
     return v
 
 
@@ -33,18 +33,18 @@ class BenfordTable:
     chi_square: float
 
 
-def benford_table(values) -> BenfordTable:
-    """Leading-digit proportions of a population of positive integers.
+def benford_table(counts) -> BenfordTable:
+    """Leading-digit proportions from the counts of leading digits 1..9.
 
     Chi-square is computed against expected counts sample_size * P(d) and is
     informational; max_abs_dev is the comparison statistic.
     """
-    v = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
-    if v.size == 0:
-        raise ValueError("benford table needs a non-empty population")
-    digits = leading_digits(v)
-    counts = np.bincount(digits, minlength=10)[1:10].astype(np.float64)
+    counts = np.asarray(counts)
+    if counts.shape != (9,) or counts.dtype.kind not in "iu" or counts.min() < 0:
+        raise ValueError(f"need nine integer counts >= 0, got {counts.dtype} {counts.shape}")
     n = int(counts.sum())
+    if n == 0:
+        raise ValueError("benford table needs a non-empty population")
     observed = counts / n
     expected_counts = n * BENFORD_EXPECTED
     chi_square = float(((counts - expected_counts) ** 2 / expected_counts).sum())

@@ -2,8 +2,9 @@
 config hash, payload length and CRC32 of the payload, then the payload, an
 npz archive of "section/field" arrays, up to the end of the file.  The
 header's size and CRC checks pass before the payload is loaded.  The
-payload streams through the file in both directions, so neither a write
-nor a read holds a second copy of the arrays."""
+payload streams through the file in both directions: a write holds one
+chunk of a `ChunkedArray` at a time, and a read holds no second copy of
+the arrays it loads."""
 
 import os
 import struct
@@ -12,15 +13,41 @@ import zlib
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
 MAGIC = b"PWLK"
 VERSION = 4
 _HEAD = struct.Struct("<4sI32sQI")
-_CHUNK = 1 << 24
+_CHUNK = 1 << 22
 
 
 class CheckpointError(Exception):
     """Corrupt, truncated or incompatible checkpoint file."""
+
+
+class ChunkedArray:
+    """An array that is written piece by piece, never whole.
+
+    `chunks()` yields C-ordered arrays whose contents, one after another,
+    are the array's; `write_checkpoint` streams them into the file.
+    `np.asarray` joins them into one array, for use in memory.
+    """
+
+    def __init__(self, shape: tuple, dtype, chunks):
+        self.shape, self.dtype, self._chunks = tuple(shape), np.dtype(dtype), chunks
+
+    def chunks(self):
+        return self._chunks()
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.empty(self.shape, self.dtype)
+        flat, o = out.reshape(-1), 0
+        for chunk in self.chunks():
+            flat[o : o + chunk.size] = chunk.reshape(-1)
+            o += chunk.size
+        if o != flat.size:
+            raise ValueError(f"chunks hold {o} values, not {flat.size}")
+        return out if dtype is None else out.astype(dtype)
 
 
 def _crc(fh, length: int) -> int:
@@ -40,7 +67,7 @@ def _encode(name: str, v) -> np.ndarray:
     # bytes travel as uint8, as "S" drops trailing NULs; so refuse uint8 arrays
     if isinstance(v, bytes):
         return np.frombuffer(v, np.uint8)
-    a = np.asarray(v)
+    a = v if isinstance(v, ChunkedArray) else np.asarray(v)
     if a.dtype == np.uint8 or a.dtype.hasobject:
         raise TypeError(f"cannot checkpoint {name}: {a.dtype} array")
     return a
@@ -48,6 +75,25 @@ def _encode(name: str, v) -> np.ndarray:
 
 def _decode(a: np.ndarray):
     return a.tobytes() if a.dtype == np.uint8 else a.item() if a.ndim == 0 else a
+
+
+def _write_npz(fh, arrays: dict) -> None:
+    """The bytes np.savez(fh, **arrays) writes; a ChunkedArray goes chunk by chunk."""
+    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as npz:
+        for name, a in arrays.items():
+            with npz.open(f"{name}.npy", "w", force_zip64=True) as member:
+                if not isinstance(a, ChunkedArray):
+                    npy.write_array(member, a, allow_pickle=False)
+                    continue
+                descr = npy.dtype_to_descr(a.dtype)
+                npy.write_array_header_1_0(
+                    member, {"descr": descr, "fortran_order": False, "shape": a.shape}
+                )
+                size = 0
+                for chunk in a.chunks():
+                    size += member.write(np.ascontiguousarray(chunk, a.dtype))
+                if size != a.dtype.itemsize * int(np.prod(a.shape)):
+                    raise ValueError(f"{name}: chunks hold {size} bytes, not the shape's")
 
 
 def write_checkpoint(path, config_hash: bytes, sections: dict) -> None:
@@ -60,7 +106,7 @@ def write_checkpoint(path, config_hash: bytes, sections: dict) -> None:
     try:
         with open(tmp, "w+b") as fh:
             fh.write(_HEAD.pack(MAGIC, VERSION, config_hash, 0, 0))
-            np.savez(fh, **{n: _encode(n, flat[n]) for n in sorted(flat)})
+            _write_npz(fh, {n: _encode(n, flat[n]) for n in sorted(flat)})
             length = fh.seek(0, os.SEEK_END) - _HEAD.size
             crc = _crc(fh, length)
             fh.seek(0)

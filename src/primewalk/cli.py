@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
@@ -192,7 +193,7 @@ def _write_benford(vmap: grid.VisitMap, path, lines):
         empty = benford.BenfordTable(np.zeros(9), benford.BENFORD_EXPECTED, 0, 0.0, 0.0)
         benford.write_benford_csv(empty, path)
         return
-    table = benford.benford_table(vmap.z_values())
+    table = benford.benford_table(vmap.leading_digit_counts())
     benford.write_benford_csv(table, path)
     lines.append(("benford_max_abs_dev", f"{table.max_abs_dev:.6f}"))
     lines.append(("benford_chi_square", f"{table.chi_square:.6g}"))
@@ -244,7 +245,7 @@ def execute_walk(
 
 
 def _walk_state(s: dict) -> WalkState:
-    state = WalkState(int(s["x"]), int(s["y"]), int(s["steps"]), int(s["n"]))
+    state = WalkState(*(operator.index(s[k]) for k in ("x", "y", "steps", "n")))
     pack_xy(state.x, state.y)  # raises for a position outside the packable range
     if state.steps_taken < 0 or state.last_n < 0:
         raise ValueError(f"steps {state.steps_taken} and n {state.last_n} must be >= 0")

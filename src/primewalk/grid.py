@@ -15,10 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .walk import _OFFSET, WalkObserver, pack_xy, unpack_key, unpack_keys
+from .benford import leading_digits
+from .checkpoint import ChunkedArray
+from .walk import _OFFSET, WalkObserver, pack_xy, unpack_key
 
 _SIDE = 64  # tile edge; the tile of packed (X, Y) is (X >> 6, Y >> 6)
 _TILE = _SIDE * _SIDE
+_CHUNK_TILES = 256  # tiles per chunk when the finished map is read: 1M cells, 4 MB
+_AXIS_TILE = _OFFSET // _SIDE  # tile column (row) whose first cells have x = 0 (y = 0)
 _ROW_MASK = (1 << 26) - 1
 _TILE_MASK = np.uint64(0xFFFFFFC0_FFFFFFC0)  # clears X & 63, Y & 63: one value per tile
 _COUNT_MAX = np.iinfo(np.int32).max
@@ -144,44 +148,80 @@ class VisitMap:
         self._recount(touched)
         self._total += len(keys)
 
-    def z_values(self) -> np.ndarray:
-        """All positive visit counts, order unspecified; sums to total_visits."""
-        return self._store[self._store > 0].astype(np.int64)
+    def _chunks(self, pos=None):
+        """(tile ids, tiles) in tile-id order, up to _CHUNK_TILES at a time:
+        every tile, or those at positions `pos` of the sorted ids.
+
+        Each chunk is a copy, taken from the store as it is at that step,
+        because _reserve may move the store.
+        """
+        pos = np.arange(len(self._ids)) if pos is None else pos
+        for a in range(0, len(pos), _CHUNK_TILES):
+            p = pos[a : a + _CHUNK_TILES]
+            yield self._ids[p], self._store.reshape(-1, _TILE)[self._slot[p]]
+
+    def leading_digit_counts(self) -> np.ndarray:
+        """How many occupied cells have a visit count of leading digit 1, ..., 9."""
+        counts = np.zeros(10, dtype=np.int64)
+        for _, tiles in self._chunks():
+            counts += np.bincount(leading_digits(tiles[tiles > 0]), minlength=10)
+        return counts[1:]
+
+    def _cell_chunks(self):
+        """(keys, counts) of the occupied cells in packed-key order, read from
+        about _CHUNK_TILES tiles' worth of cells at a time."""
+        cols = self._ids >> np.uint64(26)
+        bounds = np.flatnonzero(np.diff(cols)) + 1
+        edges = [0, *bounds.tolist(), len(cols)] if len(cols) else []
+        for a, b in zip(edges, edges[1:]):
+            slots = self._slot[a:b]
+            rows = (self._ids[a:b] & np.uint64(_ROW_MASK)) << np.uint64(6)
+            band = max(1, _CHUNK_TILES * _SIDE // (b - a))  # lx values per read
+            for x0 in range(0, _SIDE, band):
+                # (tile, lx, ly) -> (lx, tile, ly): packed-key order in the column
+                block = self._store.reshape(-1, _SIDE, _SIDE)[slots, x0 : x0 + band]
+                block = block.transpose(1, 0, 2).ravel()
+                nz = np.flatnonzero(block)
+                lx, rest = np.divmod(nz, (b - a) * _SIDE)
+                tile, ly = np.divmod(rest, _SIDE)
+                x = (cols[a] << np.uint64(6)) + (lx + x0).astype(np.uint64)
+                y = rows[tile] + ly.astype(np.uint64)
+                yield (x << np.uint64(32)) | y, block[nz].astype(np.int64)
 
     def cells(self) -> tuple[np.ndarray, np.ndarray]:
         """(keys, counts) of every occupied cell, in packed-key order."""
         keys = np.empty(self._cells, dtype=np.uint64)
         counts = np.empty(self._cells, dtype=np.int64)
-        tiles = self._store.reshape(-1, _SIDE, _SIDE)
-        cols = self._ids >> np.uint64(26)
-        bounds = np.flatnonzero(np.diff(cols)) + 1
-        edges = [0, *bounds.tolist(), len(cols)] if len(cols) else []
         o = 0
-        for a, b in zip(edges, edges[1:]):
-            # (tile, lx, ly) -> (lx, tile, ly): packed-key order in the column
-            block = tiles[self._slot[a:b]].transpose(1, 0, 2).ravel()
-            nz = np.flatnonzero(block)
-            lx, rest = np.divmod(nz, (b - a) * _SIDE)
-            tile, ly = np.divmod(rest, _SIDE)
-            x = (cols[a] << np.uint64(6)) + lx.astype(np.uint64)
-            rows = (self._ids[a:b] & np.uint64(_ROW_MASK)) << np.uint64(6)
-            y = rows[tile] + ly.astype(np.uint64)
-            keys[o : o + len(nz)] = (x << np.uint64(32)) | y
-            counts[o : o + len(nz)] = block[nz]
-            o += len(nz)
+        for k, c in self._cell_chunks():
+            keys[o : o + len(k)], counts[o : o + len(c)] = k, c
+            o += len(k)
         return keys, counts
 
     def items(self):
         """Yield (x, y, count) in packed-key order."""
-        keys, counts = self.cells()
-        for key, c in zip(keys.tolist(), counts.tolist()):
-            x, y = unpack_key(key)
-            yield x, y, c
+        for keys, counts in self._cell_chunks():
+            for key, c in zip(keys.tolist(), counts.tolist()):
+                x, y = unpack_key(key)
+                yield x, y, c
 
     # checkpoint support
     def state(self) -> dict:
-        """The sorted tile ids and their int32 tiles, in tile-id order."""
-        return {"tile_ids": self._ids.copy(), "tiles": self._store.reshape(-1, _TILE)[self._slot]}
+        """The sorted tile ids and their int32 tiles, in tile-id order.
+
+        The tiles are read from the store chunk by chunk when they are
+        written, so the map must not change in between.
+        """
+        total = self._total
+
+        def chunks():
+            if self._total != total:
+                raise RuntimeError("the visit map changed after its state was taken")
+            for _, tiles in self._chunks():
+                yield tiles
+
+        tiles = ChunkedArray((len(self._ids), _TILE), np.int32, chunks)
+        return {"tile_ids": self._ids.copy(), "tiles": tiles}
 
     @classmethod
     def from_state(cls, state: dict) -> "VisitMap":
@@ -246,9 +286,12 @@ class AreaSeries:
 
     @classmethod
     def from_state(cls, state: dict) -> "AreaSeries":
+        columns = [np.asarray(state[k]) for k in ("n", "n_p", "area")]
+        if any(c.ndim != 1 or c.dtype.kind not in "iu" for c in columns):
+            raise ValueError(f"series are {[str(c.dtype) for c in columns]}, not integer vectors")
         # replayed row by row, so a restored series passes a recorded one's checks
         series = cls()
-        for row in zip(state["n"], state["n_p"], state["area"], strict=True):
+        for row in zip(*columns, strict=True):
             series.checkpoint(*row)
         return series
 
@@ -264,43 +307,71 @@ class RecurrenceReport:
     distinct_count: int
 
 
+def _col_row(tile_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 (X >> 6, Y >> 6) of tile ids."""
+    cols = (tile_ids >> np.uint64(26)).astype(np.int64)
+    return cols, (tile_ids & np.uint64(_ROW_MASK)).astype(np.int64)
+
+
+def _argmax(vmap: VisitMap) -> tuple[int, int, int]:
+    """(z_max, x, y) of the most-visited cell, ties broken as recurrence_report says."""
+    zmax, best = 1, None  # best: (x^2 + y^2, x, y) of the argmax so far
+    for ids, tiles in vmap._chunks():
+        top = int(tiles.max())
+        if top < zmax:
+            continue
+        tile, cell = np.divmod(np.flatnonzero(tiles == top), _TILE)
+        cols, rows = _col_row(ids[tile])
+        xs, ys = cols * _SIDE + cell // _SIDE - _OFFSET, rows * _SIDE + cell % _SIDE - _OFFSET
+        # x^2 + y^2 <= 2^63 is exact in uint64, not in int64
+        d2 = np.square(np.abs(xs).astype(np.uint64)) + np.square(np.abs(ys).astype(np.uint64))
+        i = np.lexsort((ys, xs, d2))[0]
+        here = (int(d2[i]), int(xs[i]), int(ys[i]))
+        if best is None or top > zmax or here < best:
+            zmax, best = top, here
+    return zmax, best[1], best[2]
+
+
+def _sign_tally(vmap: VisitMap) -> np.ndarray:
+    """Occupied cells by the signs of (x, y), at [sign(x) + 1, sign(y) + 1]."""
+    tally = np.zeros((3, 3), dtype=np.int64)
+    cols, rows = _col_row(vmap._ids)
+    sx, sy = np.sign(cols - _AXIS_TILE), np.sign(rows - _AXIS_TILE)
+    inside = (sx != 0) & (sy != 0)  # a tile off both axes lies in one quadrant
+    np.add.at(tally, (sx[inside] + 1, sy[inside] + 1), vmap._occupied[vmap._slot[inside]])
+    # in an axis tile, local column (row) 0 has x = 0 (y = 0) and the rest x > 0 (y > 0)
+    parts = ((slice(0, 1), 0), (slice(1, None), 1))
+    for ids, tiles in vmap._chunks(np.flatnonzero(~inside)):
+        occupied = tiles.reshape(-1, _SIDE, _SIDE) != 0
+        cols, rows = _col_row(ids)
+        tx, ty = np.sign(cols - _AXIS_TILE), np.sign(rows - _AXIS_TILE)
+        for lx, x_sign in parts:
+            px = np.where(tx == 0, x_sign, tx) + 1
+            for ly, y_sign in parts:
+                py = np.where(ty == 0, y_sign, ty) + 1
+                np.add.at(tally, (px, py), np.count_nonzero(occupied[:, lx, ly], axis=(1, 2)))
+    return tally
+
+
 def recurrence_report(vmap: VisitMap) -> RecurrenceReport:
     """Most-visited cell plus the quadrant spread of the covered area.
 
     Argmax ties break by distance to the origin, then by (x, y)
     lexicographic order.  Quadrants are strict interiors; cells on the axes
-    and the origin are tallied separately.
+    and the origin are tallied separately.  The map is read a chunk of
+    tiles at a time, and cell by cell only in the tiles on the axes.
     """
     if vmap.total_visits == 0:
         raise ValueError("recurrence report needs at least one recorded step")
-    keys, counts = vmap.cells()
-    zmax = int(counts.max())
-    cand = keys[np.flatnonzero(counts == zmax)]
-    del counts
-    xs, ys = unpack_keys(cand)
-    order = np.lexsort((ys, xs, xs * xs + ys * ys))
-    bx, by = int(xs[order[0]]), int(ys[order[0]])
-
-    # signs from the packed halves (X, Y = coordinate + 2^31), one buffer
-    half = keys >> np.uint64(32)
-    x_pos, x_neg = half > _OFFSET, half < _OFFSET
-    np.bitwise_and(keys, np.uint64(0xFFFFFFFF), out=half)
-    y_pos, y_neg = half > _OFFSET, half < _OFFSET
-    del keys, half
-    x_zero, y_zero = ~(x_pos | x_neg), ~(y_pos | y_neg)
-    q1 = int(np.count_nonzero(x_pos & y_pos))
-    q2 = int(np.count_nonzero(x_neg & y_pos))
-    q3 = int(np.count_nonzero(x_neg & y_neg))
-    q4 = int(np.count_nonzero(x_pos & y_neg))
-    on_x_axis = int(np.count_nonzero(y_zero & ~x_zero))
-    on_y_axis = int(np.count_nonzero(x_zero & ~y_zero))
+    zmax, bx, by = _argmax(vmap)
+    t = _sign_tally(vmap)
     return RecurrenceReport(
         argmax_x=bx,
         argmax_y=by,
         z_max=zmax,
         dist_argmax=float(np.hypot(bx, by)),
-        quadrant_counts=(q1, q2, q3, q4),
-        axis_counts=(on_x_axis, on_y_axis),
+        quadrant_counts=(int(t[2, 2]), int(t[0, 2]), int(t[0, 0]), int(t[2, 0])),
+        axis_counts=(int(t[0, 1] + t[2, 1]), int(t[1, 0] + t[1, 2])),
         distinct_count=vmap.area,
     )
 

@@ -8,6 +8,7 @@ on finalize so the runs partition the whole event sequence.
 from __future__ import annotations
 
 import csv
+import operator
 
 import numpy as np
 
@@ -65,7 +66,10 @@ class RunHistogram:
     @classmethod
     def from_state(cls, state: dict) -> "RunHistogram":
         h = cls()
-        rows = zip(state["digits"], state["lengths"], state["occurrences"], strict=True)
+        columns = [np.asarray(state[k]) for k in ("digits", "lengths", "occurrences")]
+        if any(c.ndim != 1 or c.dtype.kind not in "iu" for c in columns):
+            raise ValueError(f"runs are {[str(c.dtype) for c in columns]}, not integer vectors")
+        rows = zip(*columns, strict=True)
         for d, ln, c in rows:
             if d not in WALK_DIGITS or ln < 1 or c < 1:
                 raise ValueError(f"run ({d}, {ln}) x {c}: not a walk digit, or a count < 1")
@@ -136,7 +140,7 @@ class RunLengthObserver(WalkObserver):
 
     @classmethod
     def from_state(cls, state: dict) -> "RunLengthObserver":
-        digit, length = int(state["acc_digit"]), int(state["acc_length"])
+        digit, length = operator.index(state["acc_digit"]), operator.index(state["acc_length"])
         if digit not in (0, *WALK_DIGITS) or length < 0 or (length == 0) != (digit == 0):
             raise ValueError(f"open run ({digit}, {length}) is neither (0, 0) nor a walk run")
         return cls(RunHistogram.from_state(state), digit, length)

@@ -6,6 +6,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from primewalk.benford import BENFORD_EXPECTED, BenfordTable
+from primewalk.grid import RecurrenceReport
 from primewalk.polar import wrap_angle
 from primewalk.primes import DEFAULT_SEGMENT_FLAGS, WALK_DIGITS, iter_walk_prime_arrays
 from primewalk.runs import RunHistogram, RunLengthObserver
@@ -18,6 +20,7 @@ from primewalk.walk import (
     pack_xy,
     run_walk,
     unpack_key,
+    unpack_keys,
 )
 
 
@@ -99,6 +102,59 @@ def leading_digit(n: int) -> int:
     return n
 
 
+def digit_counts(values) -> list:
+    """How many of `values` have leading digit 1, ..., 9."""
+    counts = [0] * 9
+    for v in values:
+        counts[leading_digit(int(v)) - 1] += 1
+    return counts
+
+
+def value_benford_table(values) -> BenfordTable:
+    """Benford table of a population of positive integers, digit by digit."""
+    counts = np.array(digit_counts(values), dtype=np.float64)
+    n = int(counts.sum())
+    if n == 0:
+        raise ValueError("benford table needs a non-empty population")
+    observed = counts / n
+    expected_counts = n * BENFORD_EXPECTED
+    return BenfordTable(
+        observed=observed,
+        expected=BENFORD_EXPECTED.copy(),
+        sample_size=n,
+        max_abs_dev=float(np.abs(observed - BENFORD_EXPECTED).max()),
+        chi_square=float(((counts - expected_counts) ** 2 / expected_counts).sum()),
+    )
+
+
+def z_values(vmap) -> np.ndarray:
+    """Every positive visit count of a visit map (or its oracle), in packed-key order."""
+    return vmap.cells()[1]
+
+
+def recurrence_oracle(vmap) -> RecurrenceReport:
+    """recurrence_report from the whole (keys, counts) of a map's cells()."""
+    keys, counts = vmap.cells()
+    zmax = int(counts.max())
+    top = [unpack_key(k) for k in keys[counts == zmax].tolist()]
+    bx, by = min(top, key=lambda c: (c[0] * c[0] + c[1] * c[1], c[0], c[1]))
+    xs, ys = unpack_keys(keys)
+    sx, sy = np.sign(xs), np.sign(ys)
+
+    def cells(x_sign, y_sign):
+        return int(np.count_nonzero((sx == x_sign) & (sy == y_sign)))
+
+    return RecurrenceReport(
+        argmax_x=bx,
+        argmax_y=by,
+        z_max=zmax,
+        dist_argmax=float(np.hypot(bx, by)),
+        quadrant_counts=(cells(1, 1), cells(-1, 1), cells(-1, -1), cells(1, -1)),
+        axis_counts=(cells(1, 0) + cells(-1, 0), cells(0, 1) + cells(0, -1)),
+        distinct_count=vmap.area,
+    )
+
+
 def record_step(vmap, x: int, y: int) -> None:
     """Record one arrival at (x, y) in a VisitMap."""
     vmap.record_keys(np.array([pack_xy(x, y)], dtype=np.uint64))
@@ -146,9 +202,6 @@ class SortedVisitMap:
         self._keys = np.insert(self._keys, pos[new], uniq[new])
         self._counts = np.insert(self._counts, pos[new], cnt[new])
         self._total += int(cnt.sum())
-
-    def z_values(self) -> np.ndarray:
-        return self._counts.copy()
 
     def items(self):
         for key, c in zip(self._keys.tolist(), self._counts.tolist()):

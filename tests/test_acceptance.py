@@ -25,7 +25,7 @@ from primewalk.primes import count_walk_primes, iter_walk_prime_arrays
 from primewalk.runs import RunLengthObserver, short_run_fraction
 from primewalk.walk import A1, A2, A3, WalkSession, run_random_walk, run_walk
 
-from conftest import PathRecorder, StepObserver, delta_series
+from conftest import PathRecorder, StepObserver, delta_series, z_values
 
 LIMIT_1E9 = 10**9
 BENFORD_MAX_ABS_DEV = 0.04  # frozen after the calibration run at these scales
@@ -111,10 +111,10 @@ class TestCriterion2HandTrace:
             counts[q] = counts.get(q, 0) + 1
         ok = (
             g.vmap.area == len(distinct)
-            and sorted(g.vmap.z_values().tolist()) == sorted(counts.values())
+            and sorted(z_values(g.vmap).tolist()) == sorted(counts.values())
             and summary.steps_taken == 10
         )
-        report("2b", ok, f"area {g.vmap.area}, z multiset {sorted(g.vmap.z_values().tolist())}")
+        report("2b", ok, f"area {g.vmap.area}, z multiset {sorted(z_values(g.vmap).tolist())}")
 
 
 class TestCriterion3AreaGrowthSlope:
@@ -149,7 +149,7 @@ class TestCriterion4RunLengths:
 
 class TestCriterion5Benford:
     def test_prime_walk_population(self, billion_run):
-        table = benford_table(billion_run["grids"]["A1"].vmap.z_values())
+        table = benford_table(billion_run["grids"]["A1"].vmap.leading_digit_counts())
         report(
             "5a",
             table.max_abs_dev < BENFORD_MAX_ABS_DEV,
@@ -164,7 +164,7 @@ class TestCriterion5Benford:
     def test_random_walk_population(self):
         g = GridObserver()
         run_random_walk(10**8, seed=1, observers=[g])
-        table = benford_table(g.vmap.z_values())
+        table = benford_table(g.vmap.leading_digit_counts())
         report(
             "5c",
             table.max_abs_dev < BENFORD_MAX_ABS_DEV,
@@ -235,7 +235,7 @@ class TestCriterion8Conservation:
     def test_random_small_limits(self, limit):
         g = GridObserver()
         summary = run_walk(limit, A1, [g])
-        z = g.vmap.z_values()
+        z = z_values(g.vmap)
         assert int(z.sum()) == summary.steps_taken == count_walk_primes(limit)
         assert all(b >= a for a, b in zip(g.series.area, g.series.area[1:]))
         assert g.vmap.area <= summary.steps_taken + 1

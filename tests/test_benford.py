@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from primewalk.benford import BENFORD_EXPECTED, benford_table, leading_digits
 
-from conftest import leading_digit
+from conftest import leading_digit, value_benford_table
 
 
 class TestLeadingDigit:
@@ -44,38 +44,61 @@ class TestExpected:
         assert BENFORD_EXPECTED.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def table_of(values):
+    """benford_table of a population, through its leading-digit counts."""
+    return benford_table(np.bincount(leading_digits(np.asarray(values)), minlength=10)[1:])
+
+
 class TestBenfordTable:
     def test_uniform_digits(self):
-        table = benford_table(list(range(1, 10)))
+        table = benford_table([1] * 9)
         assert np.allclose(table.observed, 1 / 9)
         assert table.max_abs_dev == pytest.approx(abs(1 / 9 - math.log10(2)), abs=1e-12)
         assert table.sample_size == 9
 
     def test_all_ones(self):
-        table = benford_table([1, 1, 1, 1])
+        table = benford_table([4, 0, 0, 0, 0, 0, 0, 0, 0])
         assert table.observed[0] == 1.0
         assert table.observed[1:].sum() == 0.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            benford_table([])
+        with pytest.raises(ValueError, match="non-empty"):
+            benford_table([0] * 9)
+
+    @pytest.mark.parametrize(
+        "counts", [[1] * 8, [1] * 10, [1.0] * 9, [1, 1, 1, 1, -1, 1, 1, 1, 1]],
+        ids=["eight", "ten", "fractional", "negative"],
+    )
+    def test_malformed_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="nine integer counts"):
+            benford_table(counts)
 
     def test_proportions_sum_to_one(self):
-        table = benford_table(np.arange(1, 100_000))
+        table = table_of(np.arange(1, 100_000))
         assert table.observed.sum() == pytest.approx(1.0, abs=1e-12)
         assert table.expected.sum() == pytest.approx(1.0, abs=1e-12)
 
     @given(st.lists(st.integers(min_value=1, max_value=10**9), min_size=1, max_size=200))
     @settings(max_examples=50, deadline=None)
+    def test_counts_table_matches_value_oracle(self, values):
+        got, want = table_of(values), value_benford_table(values)
+        assert np.array_equal(got.observed, want.observed)
+        assert np.array_equal(got.expected, want.expected)
+        assert (got.sample_size, got.max_abs_dev, got.chi_square) == (
+            want.sample_size, want.max_abs_dev, want.chi_square
+        )
+
+    @given(st.lists(st.integers(min_value=1, max_value=10**9), min_size=1, max_size=200))
+    @settings(max_examples=50, deadline=None)
     def test_permutation_and_decimal_shift_invariance(self, values):
-        base = benford_table(values)
-        shuffled = benford_table(list(reversed(values)))
-        scaled = benford_table([v * 10 for v in values])
+        base = table_of(values)
+        shuffled = table_of(list(reversed(values)))
+        scaled = table_of([v * 10 for v in values])
         assert np.array_equal(base.observed, shuffled.observed)
         assert np.array_equal(base.observed, scaled.observed)
 
     def test_geometric_population_conforms(self):
         # a geometric series spans decades log-uniformly, hence Benford
         values = [int(1.01**k) for k in range(200, 3000)]
-        table = benford_table(values)
+        table = table_of(values)
         assert table.max_abs_dev < 0.01

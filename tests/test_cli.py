@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,21 @@ from primewalk.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from primewalk.cli import EXIT_CHECKPOINT, EXIT_IO, EXIT_OK, EXIT_USAGE, main, parse_number
+from primewalk.cli import (
+    EXIT_CHECKPOINT,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_USAGE,
+    RunConfig,
+    main,
+    parse_number,
+    save_checkpoint,
+    write_outputs,
+)
 from primewalk.grid import GridObserver
 from primewalk.polar import PolarObserver
 from primewalk.runs import RunLengthObserver
-from primewalk.walk import A1, run_walk
+from primewalk.walk import A1, WalkState, pack_xy, run_walk
 
 CSV_FILES = [
     "area_series.csv",
@@ -370,13 +381,19 @@ class TestResume:
             ("runs", "occurrences", lambda a: -a),
             ("walk", "x", lambda a: 2**40),
             ("walk", "x", lambda a: a + 10**4),  # past the 9,592 steps of the walk
+            ("runs", "lengths", lambda a: a + 0.5),
+            ("runs", "acc_length", lambda a: a + 0.5),
+            ("walk", "x", lambda a: a + 0.25),
+            ("grid", "series_n", lambda a: a + 0.5),
         ],
         ids=["duplicate-tile-id", "unsorted-tile-ids", "tiles-row-short", "count-past-int32",
              "negative-count", "tiles-past-walk-steps", "series-short", "lengths-short",
              "50-bins", "config-json-not-bytes", "config-json-list", "config-unknown-field",
              "config-bad-rule", "config-factor-not-number", "polar-negative-counts",
              "polar-fractional-counts", "polar-negative-skipped", "runs-open-digit-4",
-             "runs-negative-occurrences", "walk-x-unpackable", "walk-x-off-path"],
+             "runs-negative-occurrences", "walk-x-unpackable", "walk-x-off-path",
+             "runs-fractional-lengths", "runs-fractional-open-run", "walk-fractional-x",
+             "grid-fractional-series"],
     )
     def test_malformed_section_refused(self, tmp_path, capsys, section, field, damage):
         out = tmp_path / "o"
@@ -473,3 +490,33 @@ class TestCheckpointFormat:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="integrity check failed"):
             read_checkpoint(path)
+
+
+class TestOutputMemory:
+    def test_output_and_save_read_the_map_in_chunks(self, tmp_path):
+        # one cell in each of 64 x 64 tiles around the origin, axis tiles included
+        coords = [64 * i for i in range(-32, 32)]
+        g = GridObserver()
+        for x in coords:
+            g.vmap.record_keys(np.array([pack_xy(x, y) for y in coords], dtype=np.uint64))
+        tiles = len(g.vmap.state()["tile_ids"])
+        assert tiles == 4096
+        budget = tiles * 64 * 64 * 4 // 4  # a quarter of the store's tiles
+        cfg = RunConfig(analyses=("area", "benford", "recurrence"), out_dir=tmp_path)
+        summary = WalkState(coords[-1], coords[-1], g.steps, g.steps)
+        analyzers = {"grid": g}
+        phases = {
+            "write_outputs": lambda: write_outputs(cfg, analyzers, summary, tmp_path),
+            "save_checkpoint": lambda: save_checkpoint(
+                cfg, analyzers, summary, tmp_path / "checkpoint.pwlk"
+            ),
+        }
+        for name, phase in phases.items():
+            tracemalloc.start()
+            try:
+                phase()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < budget, (name, peak, budget)
+        assert read_summary(tmp_path)["benford_sample_size"] == "4096"

@@ -1,12 +1,15 @@
+import io
 import itertools
 import tracemalloc
+import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primewalk import grid
+from primewalk import checkpoint, grid
 from primewalk.grid import (
     AreaSeries,
     GridObserver,
@@ -24,7 +27,15 @@ from primewalk.walk import (
     unpack_key,
 )
 
-from conftest import PathRecorder, SortedVisitMap, StepObserver, record_step
+from conftest import (
+    PathRecorder,
+    SortedVisitMap,
+    StepObserver,
+    digit_counts,
+    record_step,
+    recurrence_oracle,
+    z_values,
+)
 
 TOP = (1 << 31) - 1
 # repeated cells, cells across tile edges, and the ends of the packable range
@@ -47,7 +58,7 @@ def assert_same_map(m, oracle):
         assert got.dtype == want.dtype
     assert list(m.items()) == list(oracle.items())
     assert (len(m), m.area, m.total_visits) == (len(oracle), oracle.area, oracle.total_visits)
-    assert sorted(m.z_values().tolist()) == sorted(oracle.z_values().tolist())
+    assert m.leading_digit_counts().tolist() == digit_counts(z_values(oracle))
     for x, y, c in oracle.items():
         assert m.count_at(x, y) == c
     assert m.count_at(0, 0) == oracle.count_at(0, 0)
@@ -86,7 +97,7 @@ class TestVisitMap:
     def test_empty_map(self):
         m = VisitMap()
         assert m.area == 1
-        assert m.z_values().tolist() == []
+        assert m.leading_digit_counts().tolist() == [0] * 9
         assert m.total_visits == 0
 
     def test_negative_coordinates(self):
@@ -168,7 +179,7 @@ class TestVisitMap:
         m.record_keys(_keys([(1, 2), (1, 2)]))
         assert m.count_at(1, 2) == 5
         state = m.state()
-        state["tiles"] = state["tiles"] + 1
+        state["tiles"] = np.asarray(state["tiles"]) + 1
         with pytest.raises(ValueError, match="visit count lies outside"):
             VisitMap.from_state(state)
 
@@ -181,12 +192,94 @@ class TestVisitMap:
         assert m2.total_visits == m.total_visits
 
 
+def _grown_map(first, later, mirror):
+    """A map of batches `first`, saved and restored, that then records `later`:
+    its later tiles take slots out of tile-id order.  With `mirror`, every
+    cell (x, y) also records (y, x), which ties it for the argmax."""
+    m, oracle = VisitMap(), SortedVisitMap()
+    for i, cells in enumerate([*first, *later]):
+        if i == len(first):
+            m = VisitMap.from_state(m.state())
+        cells = cells + [(y, x) for x, y in cells] if mirror else cells
+        m.record_keys(_keys(cells))
+        oracle.record_keys(_keys(cells))
+    return m, oracle
+
+
+GROWN_MAPS = {
+    "first": BATCHES,
+    "later": BATCHES,
+    "mirror": st.booleans(),
+    "chunk": st.sampled_from([1, 2, 3, 256]),
+}
+
+
+class TestTilePaths:
+    """The chunked readers of a finished map against the cells()-based oracles."""
+
+    @given(**GROWN_MAPS)
+    @settings(max_examples=200, deadline=None)
+    def test_digit_counts_and_recurrence(self, first, later, mirror, chunk):
+        m, oracle = _grown_map(first, later, mirror)
+        with mock.patch.object(grid, "_CHUNK_TILES", chunk):
+            if oracle.total_visits:
+                assert recurrence_report(m) == recurrence_oracle(oracle)
+            assert_same_map(m, oracle)  # digit counts, cells() and items() included
+
+    def test_ties_at_the_range_ends(self):
+        # x^2 + y^2 = 2^63 passes int64: the far corner must not win the tie
+        m = VisitMap()
+        m.record_keys(_keys([(-(1 << 31), -(1 << 31)), (TOP, TOP), (TOP, -(1 << 31))]))
+        rep = recurrence_report(m)
+        assert (rep.argmax_x, rep.argmax_y) == (TOP, TOP)
+        assert rep == recurrence_oracle(m)
+
+    def test_axis_tiles(self):
+        m = VisitMap()
+        cells = [(x, y) for x in (-64, -1, 0, 1, 63, 64) for y in (-64, -1, 0, 1, 63, 64)]
+        m.record_keys(_keys(cells))
+        rep = recurrence_report(m)
+        assert rep.quadrant_counts == (9, 6, 4, 6)  # three x > 0 and two x < 0, the same in y
+        assert rep.axis_counts == (5, 5)
+        assert rep == recurrence_oracle(m)
+
+    @given(**GROWN_MAPS)
+    @settings(max_examples=100, deadline=None)
+    def test_streamed_checkpoint_equals_savez(self, tmp_path_factory, first, later, mirror, chunk):
+        m, _ = _grown_map(first, later, mirror)
+        sections = {"grid": GridObserver(vmap=m).state(), "walk": {"n": 7}}
+        path = tmp_path_factory.mktemp("ckpt") / "checkpoint.pwlk"
+        with mock.patch.object(grid, "_CHUNK_TILES", chunk):
+            checkpoint.write_checkpoint(path, bytes(32), sections)
+        # what np.savez writes from the eager copy of the tiles in tile-id order
+        flat = {f"{s}/{k}": v for s, fields in sections.items() for k, v in fields.items()}
+        flat["grid/map_tiles"] = m._store.reshape(-1, 64 * 64)[m._slot]
+        buf = io.BytesIO()
+        buf.write(bytes(checkpoint._HEAD.size))
+        np.savez(buf, **{k: flat[k] for k in sorted(flat)})
+        payload = buf.getvalue()[checkpoint._HEAD.size :]
+        head = checkpoint._HEAD.pack(
+            checkpoint.MAGIC, checkpoint.VERSION, bytes(32), len(payload), zlib.crc32(payload)
+        )
+        assert path.read_bytes() == head + payload
+        _, loaded = checkpoint.read_checkpoint(path)
+        assert np.array_equal(loaded["grid"]["map_tiles"], flat["grid/map_tiles"])
+
+    def test_state_of_a_changed_map_refused(self):
+        m = VisitMap()
+        record_step(m, 1, 2)
+        state = m.state()
+        record_step(m, 1, 2)
+        with pytest.raises(RuntimeError, match="changed after its state"):
+            np.asarray(state["tiles"])
+
+
 class TestAreaFromWalks:
     def test_limit_14(self):
         g = GridObserver()
         run_walk(14, A1, [g])
         assert g.vmap.area == 4
-        assert sorted(g.vmap.z_values().tolist()) == [1, 1, 2]
+        assert sorted(z_values(g.vmap).tolist()) == [1, 1, 2]
         assert g.vmap.total_visits == 4
 
     def test_limit_10(self):
@@ -267,7 +360,7 @@ class TestAreaFromWalks:
         counts = {}
         for pos in rec.path[1:]:
             counts[pos] = counts.get(pos, 0) + 1
-        assert sorted(counts.values()) == sorted(g.vmap.z_values().tolist())
+        assert sorted(counts.values()) == sorted(z_values(g.vmap).tolist())
         for (x, y), c in counts.items():
             assert g.vmap.count_at(x, y) == c
 
@@ -349,7 +442,7 @@ class TestRecurrence:
         rep = recurrence_report(g.vmap)
         total = sum(rep.quadrant_counts) + sum(rep.axis_counts) + 1
         assert total == rep.distinct_count == g.vmap.area
-        assert rep.z_max == g.vmap.z_values().max()
+        assert rep.z_max == z_values(g.vmap).max()
 
 
 class TestConservation:
@@ -358,7 +451,7 @@ class TestConservation:
     def test_suite(self, limit):
         g = GridObserver()
         summary = run_walk(limit, A1, [g])
-        z = g.vmap.z_values()
+        z = z_values(g.vmap)
         assert int(z.sum()) == summary.steps_taken == g.vmap.total_visits
         assert g.vmap.area <= summary.steps_taken + 1
         assert g.vmap.area >= 1
