@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib import format as npy
 
 MAGIC = b"PWLK"
-VERSION = 4
+VERSION = 5
 _HEAD = struct.Struct("<4sI32sQI")
 _CHUNK = 1 << 22
 
@@ -64,17 +64,17 @@ def _crc(fh, length: int) -> int:
 
 
 def _encode(name: str, v) -> np.ndarray:
-    # bytes travel as uint8, as "S" drops trailing NULs; so refuse uint8 arrays
+    # bytes travel as a 0-d void array, as "S" drops trailing NULs; so refuse void arrays
     if isinstance(v, bytes):
-        return np.frombuffer(v, np.uint8)
+        return np.array(np.void(v))
     a = v if isinstance(v, ChunkedArray) else np.asarray(v)
-    if a.dtype == np.uint8 or a.dtype.hasobject:
+    if a.dtype.kind == "V" or a.dtype.hasobject:
         raise TypeError(f"cannot checkpoint {name}: {a.dtype} array")
     return a
 
 
 def _decode(a: np.ndarray):
-    return a.tobytes() if a.dtype == np.uint8 else a.item() if a.ndim == 0 else a
+    return a.tobytes() if a.dtype.kind == "V" else a.item() if a.ndim == 0 else a
 
 
 def _write_npz(fh, arrays: dict) -> None:

@@ -26,12 +26,18 @@ _AXIS_TILE = _OFFSET // _SIDE  # tile column (row) whose first cells have x = 0 
 _ROW_MASK = (1 << 26) - 1
 _TILE_MASK = np.uint64(0xFFFFFFC0_FFFFFFC0)  # clears X & 63, Y & 63: one value per tile
 _COUNT_MAX = np.iinfo(np.int32).max
+_HIST_MAX = 1 << 16  # largest z_max whose Benford counts come from a value histogram
 
 
 def _tile_ids(keys: np.ndarray) -> np.ndarray:
     return ((keys >> np.uint64(38)) << np.uint64(26)) | (
         (keys >> np.uint64(6)) & np.uint64(_ROW_MASK)
     )
+
+
+def _narrowest(z_max: int) -> np.dtype:
+    """The narrowest of uint8, uint16 and int32 that holds counts up to `z_max`."""
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.int32) if z_max <= np.iinfo(t).max)
 
 
 def _tile_offsets(keys: np.ndarray, out=None, tmp=None) -> np.ndarray:
@@ -160,11 +166,29 @@ class VisitMap:
             p = pos[a : a + _CHUNK_TILES]
             yield self._ids[p], self._store.reshape(-1, _TILE)[self._slot[p]]
 
+    def _used(self) -> np.ndarray:
+        """The store's slots in use, in slot order."""
+        return self._store[: len(self._ids) * _TILE]
+
     def leading_digit_counts(self) -> np.ndarray:
-        """How many occupied cells have a visit count of leading digit 1, ..., 9."""
+        """How many occupied cells have a visit count of leading digit 1, ..., 9.
+
+        Up to a z_max of _HIST_MAX a histogram of the counts, which needs no
+        tile order and so is read from the store itself, is grouped by the
+        leading digits of 1..z_max; above it each count is divided down.
+        """
+        used = self._used()
+        z_max = int(used.max(initial=0))
         counts = np.zeros(10, dtype=np.int64)
-        for _, tiles in self._chunks():
-            counts += np.bincount(leading_digits(tiles[tiles > 0]), minlength=10)
+        if z_max > _HIST_MAX:
+            for _, tiles in self._chunks():
+                counts += np.bincount(leading_digits(tiles[tiles > 0]), minlength=10)
+            return counts[1:]
+        hist = np.zeros(z_max + 1, dtype=np.int64)
+        step = _CHUNK_TILES * _TILE // 64  # bincount widens to int64: 128 KB at a time
+        for a in range(0, len(used), step):
+            hist += np.bincount(used[a : a + step], minlength=z_max + 1)
+        np.add.at(counts, leading_digits(np.arange(1, z_max + 1)), hist[1:])
         return counts[1:]
 
     def _cell_chunks(self):
@@ -188,16 +212,6 @@ class VisitMap:
                 y = rows[tile] + ly.astype(np.uint64)
                 yield (x << np.uint64(32)) | y, block[nz].astype(np.int64)
 
-    def cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, counts) of every occupied cell, in packed-key order."""
-        keys = np.empty(self._cells, dtype=np.uint64)
-        counts = np.empty(self._cells, dtype=np.int64)
-        o = 0
-        for k, c in self._cell_chunks():
-            keys[o : o + len(k)], counts[o : o + len(c)] = k, c
-            o += len(k)
-        return keys, counts
-
     def items(self):
         """Yield (x, y, count) in packed-key order."""
         for keys, counts in self._cell_chunks():
@@ -207,20 +221,21 @@ class VisitMap:
 
     # checkpoint support
     def state(self) -> dict:
-        """The sorted tile ids and their int32 tiles, in tile-id order.
+        """The sorted tile ids and their tiles, in tile-id order, as the
+        narrowest of uint8, uint16 and int32 that holds the largest count.
 
         The tiles are read from the store chunk by chunk when they are
         written, so the map must not change in between.
         """
-        total = self._total
+        total, dtype = self._total, _narrowest(int(self._used().max(initial=0)))
 
         def chunks():
             if self._total != total:
                 raise RuntimeError("the visit map changed after its state was taken")
             for _, tiles in self._chunks():
-                yield tiles
+                yield tiles.astype(dtype, copy=False)
 
-        tiles = ChunkedArray((len(self._ids), _TILE), np.int32, chunks)
+        tiles = ChunkedArray((len(self._ids), _TILE), dtype, chunks)
         return {"tile_ids": self._ids.copy(), "tiles": tiles}
 
     @classmethod
@@ -236,8 +251,9 @@ class VisitMap:
             raise ValueError(f"a visit count lies outside [0, {_COUNT_MAX}]")
         m = cls()
         m._ids, m._slot = ids, np.arange(len(ids), dtype=np.int64)
-        m._store = np.array(tiles.ravel(), dtype=np.int32)  # owned: _reserve resizes it
         m._occupied = np.count_nonzero(tiles, axis=1)
+        # widened in one copy, which the map owns: _reserve resizes it
+        m._store = np.array(tiles.ravel(), dtype=np.int32)
         m._cells = int(m._occupied.sum())
         m._total = int(m._store.sum(dtype=np.int64))
         return m

@@ -127,21 +127,31 @@ def value_benford_table(values) -> BenfordTable:
     )
 
 
+def cells(vmap) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, counts) of every occupied cell of a visit map (or its oracle), in
+    packed-key order: its streamed `_cell_chunks()` joined into two arrays."""
+    keys, counts = [np.empty(0, np.uint64)], [np.empty(0, np.int64)]
+    for k, c in vmap._cell_chunks():
+        keys.append(k)
+        counts.append(c)
+    return np.concatenate(keys), np.concatenate(counts)
+
+
 def z_values(vmap) -> np.ndarray:
     """Every positive visit count of a visit map (or its oracle), in packed-key order."""
-    return vmap.cells()[1]
+    return cells(vmap)[1]
 
 
 def recurrence_oracle(vmap) -> RecurrenceReport:
-    """recurrence_report from the whole (keys, counts) of a map's cells()."""
-    keys, counts = vmap.cells()
+    """recurrence_report from the whole (keys, counts) of a map's cells."""
+    keys, counts = cells(vmap)
     zmax = int(counts.max())
     top = [unpack_key(k) for k in keys[counts == zmax].tolist()]
     bx, by = min(top, key=lambda c: (c[0] * c[0] + c[1] * c[1], c[0], c[1]))
     xs, ys = unpack_keys(keys)
     sx, sy = np.sign(xs), np.sign(ys)
 
-    def cells(x_sign, y_sign):
+    def tally(x_sign, y_sign):
         return int(np.count_nonzero((sx == x_sign) & (sy == y_sign)))
 
     return RecurrenceReport(
@@ -149,8 +159,8 @@ def recurrence_oracle(vmap) -> RecurrenceReport:
         argmax_y=by,
         z_max=zmax,
         dist_argmax=float(np.hypot(bx, by)),
-        quadrant_counts=(cells(1, 1), cells(-1, 1), cells(-1, -1), cells(1, -1)),
-        axis_counts=(cells(1, 0) + cells(-1, 0), cells(0, 1) + cells(0, -1)),
+        quadrant_counts=(tally(1, 1), tally(-1, 1), tally(-1, -1), tally(1, -1)),
+        axis_counts=(tally(1, 0) + tally(-1, 0), tally(0, 1) + tally(0, -1)),
         distinct_count=vmap.area,
     )
 
@@ -207,8 +217,8 @@ class SortedVisitMap:
         for key, c in zip(self._keys.tolist(), self._counts.tolist()):
             yield (*unpack_key(key), c)
 
-    def cells(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._keys.copy(), self._counts.copy()
+    def _cell_chunks(self):
+        yield self._keys.copy(), self._counts.copy()
 
 
 class ScalarRuns:

@@ -326,8 +326,8 @@ class TestResume:
         run_cli("walk", "--limit", "50000", "--out", out)
         ckpt = out / "checkpoint.pwlk"
         good = ckpt.read_bytes()
-        # a flipped payload byte, then an intact file stamped VERSION 1, 2 or 3
-        stamps = [(4, struct.pack("<I", v)) for v in (1, 2, 3)]
+        # a flipped payload byte, then an intact file stamped VERSION 1, 2, 3 or 4
+        stamps = [(4, struct.pack("<I", v)) for v in (1, 2, 3, 4)]
         for at, patch in [(60, bytes([good[60] ^ 0xFF])), *stamps]:
             blob = bytearray(good)
             blob[at : at + len(patch)] = patch
@@ -336,7 +336,7 @@ class TestResume:
                 run_cli("resume", ckpt, "--limit", "100000", "--out", tmp_path / "x")
                 == EXIT_CHECKPOINT
             )
-        assert "unsupported checkpoint version 3" in capsys.readouterr().err
+        assert "unsupported checkpoint version 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section", ["config", "walk", "grid", "runs", "polar", "polar/counts"]
@@ -426,7 +426,8 @@ class TestCheckpointFormat:
         path = tmp_path / "c.pwlk"
         sections = {
             "a": {"x": 7, "f": 2.5, "blob": b"bytes", "arr": np.arange(5, dtype=np.int64),
-                  "nul": b"ab\x00", "neg": -3},
+                  "nul": b"ab\x00", "empty": b"", "neg": -3,
+                  "u8": np.array([0, 7, 255], dtype=np.uint8)},
             "b": {"u": np.array([1, 2], dtype=np.uint64),
                   "d": np.array([0.5, -0.5], dtype=np.float64)},
         }
@@ -437,13 +438,16 @@ class TestCheckpointFormat:
         assert loaded["a"]["f"] == 2.5
         assert loaded["a"]["blob"] == b"bytes"
         assert loaded["a"]["nul"] == b"ab\x00"
+        assert loaded["a"]["empty"] == b""
         assert loaded["a"]["neg"] == -3
         assert loaded["a"]["arr"].tolist() == [0, 1, 2, 3, 4]
         assert loaded["b"]["u"].dtype == np.uint64
         assert loaded["b"]["d"].tolist() == [0.5, -0.5]
-        # a uint8 array would read back as bytes, so it is refused
-        with pytest.raises(TypeError, match="a/digits"):
-            write_checkpoint(path, b"\x01" * 32, {"a": {"digits": np.zeros(2, np.uint8)}})
+        # bytes travel as void: a uint8 array reads back as an array, a void one is refused
+        assert loaded["a"]["u8"].dtype == np.uint8
+        assert loaded["a"]["u8"].tolist() == [0, 7, 255]
+        with pytest.raises(TypeError, match="a/raw"):
+            write_checkpoint(path, b"\x01" * 32, {"a": {"raw": np.array(np.void(b"xy"))}})
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path = tmp_path / "c.pwlk"
@@ -481,11 +485,19 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="size does not match"):
             read_checkpoint(path)
 
+    def test_tiles_stored_one_byte_per_cell(self, tmp_path):
+        # z_max at 1e5 fits a uint8: every other section and the npz framing take under 8 KB
+        run_cli("walk", "--limit", "1e5", "--out", tmp_path)
+        ckpt = tmp_path / "checkpoint.pwlk"
+        tiles = len(read_checkpoint(ckpt)[1]["grid"]["map_tile_ids"])
+        assert tiles == 3
+        assert ckpt.stat().st_size <= checkpoint._HEAD.size + 64 * 64 * tiles + 8192
+
     def test_header_crc_checked(self, tmp_path):
         path = tmp_path / "c.pwlk"
         write_checkpoint(path, b"\x00" * 32, {"s": {"v": 1}})
         blob = bytearray(path.read_bytes())
-        assert blob[:4] == b"PWLK" and blob[4:8] == struct.pack("<I", 4)
+        assert blob[:4] == b"PWLK" and blob[4:8] == struct.pack("<I", 5)
         blob[48] ^= 0x01  # the first byte of the payload CRC, after the length
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="integrity check failed"):

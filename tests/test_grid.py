@@ -31,6 +31,7 @@ from conftest import (
     PathRecorder,
     SortedVisitMap,
     StepObserver,
+    cells,
     digit_counts,
     record_step,
     recurrence_oracle,
@@ -53,7 +54,7 @@ def _keys(cells):
 
 
 def assert_same_map(m, oracle):
-    for got, want in zip(m.cells(), oracle.cells(), strict=True):
+    for got, want in zip(cells(m), cells(oracle), strict=True):
         assert np.array_equal(got, want)
         assert got.dtype == want.dtype
     assert list(m.items()) == list(oracle.items())
@@ -170,10 +171,10 @@ class TestVisitMap:
         monkeypatch.setattr(grid, "_COUNT_MAX", 5)
         m = VisitMap()
         m.record_keys(_keys([(1, 2)] * 3 + [(-4, 7)]))
-        before = m.cells()
+        before = cells(m)
         with pytest.raises(ValueError, match=r"\(1, 2\)"):
             m.record_keys(_keys([(-4, 7), (1, 2), (1, 2), (1, 2), (9, 9)]))
-        after = m.cells()
+        after = cells(m)
         assert all(np.array_equal(b, a) for b, a in zip(before, after, strict=True))
         assert (len(m), m.total_visits) == (2, 4)
         m.record_keys(_keys([(1, 2), (1, 2)]))
@@ -206,6 +207,35 @@ def _grown_map(first, later, mirror):
     return m, oracle
 
 
+def _narrowest(z_max):
+    """The tiles' dtype in a checkpoint, by the map's largest count."""
+    return np.uint8 if z_max <= 255 else np.uint16 if z_max <= 65_535 else np.int32
+
+
+def _assert_streamed_equals_savez(path, m, chunk):
+    """The checkpoint of map `m`, streamed `chunk` tiles at a time, is the
+    file np.savez writes from the eager copy of its tiles in tile-id order,
+    in the narrowest dtype that holds them."""
+    sections = {"grid": GridObserver(vmap=m).state(), "walk": {"n": 7}}
+    with mock.patch.object(grid, "_CHUNK_TILES", chunk):
+        checkpoint.write_checkpoint(path, bytes(32), sections)
+    flat = {f"{s}/{k}": v for s, fields in sections.items() for k, v in fields.items()}
+    tiles = m._store.reshape(-1, 64 * 64)[m._slot]
+    flat["grid/map_tiles"] = tiles.astype(_narrowest(tiles.max(initial=0)))
+    buf = io.BytesIO()
+    buf.write(bytes(checkpoint._HEAD.size))
+    np.savez(buf, **{k: flat[k] for k in sorted(flat)})
+    payload = buf.getvalue()[checkpoint._HEAD.size :]
+    head = checkpoint._HEAD.pack(
+        checkpoint.MAGIC, checkpoint.VERSION, bytes(32), len(payload), zlib.crc32(payload)
+    )
+    assert path.read_bytes() == head + payload
+    _, loaded = checkpoint.read_checkpoint(path)
+    assert loaded["grid"]["map_tiles"].dtype == flat["grid/map_tiles"].dtype
+    assert np.array_equal(loaded["grid"]["map_tiles"], flat["grid/map_tiles"])
+    return loaded["grid"]
+
+
 GROWN_MAPS = {
     "first": BATCHES,
     "later": BATCHES,
@@ -215,7 +245,7 @@ GROWN_MAPS = {
 
 
 class TestTilePaths:
-    """The chunked readers of a finished map against the cells()-based oracles."""
+    """The chunked readers of a finished map against the cell-list oracles."""
 
     @given(**GROWN_MAPS)
     @settings(max_examples=200, deadline=None)
@@ -224,7 +254,11 @@ class TestTilePaths:
         with mock.patch.object(grid, "_CHUNK_TILES", chunk):
             if oracle.total_visits:
                 assert recurrence_report(m) == recurrence_oracle(oracle)
-            assert_same_map(m, oracle)  # digit counts, cells() and items() included
+            assert_same_map(m, oracle)  # digit counts, cells and items() included
+            # the histogram up to a z_max of cap, the divided values above it
+            for cap in (0, 1, 2):
+                with mock.patch.object(grid, "_HIST_MAX", cap):
+                    assert m.leading_digit_counts().tolist() == digit_counts(z_values(oracle))
 
     def test_ties_at_the_range_ends(self):
         # x^2 + y^2 = 2^63 passes int64: the far corner must not win the tie
@@ -247,23 +281,30 @@ class TestTilePaths:
     @settings(max_examples=100, deadline=None)
     def test_streamed_checkpoint_equals_savez(self, tmp_path_factory, first, later, mirror, chunk):
         m, _ = _grown_map(first, later, mirror)
-        sections = {"grid": GridObserver(vmap=m).state(), "walk": {"n": 7}}
         path = tmp_path_factory.mktemp("ckpt") / "checkpoint.pwlk"
-        with mock.patch.object(grid, "_CHUNK_TILES", chunk):
-            checkpoint.write_checkpoint(path, bytes(32), sections)
-        # what np.savez writes from the eager copy of the tiles in tile-id order
-        flat = {f"{s}/{k}": v for s, fields in sections.items() for k, v in fields.items()}
-        flat["grid/map_tiles"] = m._store.reshape(-1, 64 * 64)[m._slot]
-        buf = io.BytesIO()
-        buf.write(bytes(checkpoint._HEAD.size))
-        np.savez(buf, **{k: flat[k] for k in sorted(flat)})
-        payload = buf.getvalue()[checkpoint._HEAD.size :]
-        head = checkpoint._HEAD.pack(
-            checkpoint.MAGIC, checkpoint.VERSION, bytes(32), len(payload), zlib.crc32(payload)
-        )
-        assert path.read_bytes() == head + payload
-        _, loaded = checkpoint.read_checkpoint(path)
-        assert np.array_equal(loaded["grid"]["map_tiles"], flat["grid/map_tiles"])
+        _assert_streamed_equals_savez(path, m, chunk)
+
+    @pytest.mark.parametrize(
+        "z_max, dtype",
+        [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.int32)],
+    )
+    def test_narrowest_tiles(self, tmp_path, z_max, dtype):
+        m, oracle = VisitMap(), SortedVisitMap()
+        hot = np.full(z_max, pack_xy(3, -2), dtype=np.uint64)
+        for keys in (hot, _keys([(70, 5), (-1, -1), (3, -1)])):
+            m.record_keys(keys)
+            oracle.record_keys(keys)
+        assert m.state()["tiles"].dtype == dtype
+        loaded = _assert_streamed_equals_savez(tmp_path / "checkpoint.pwlk", m, 1)
+        restored = VisitMap.from_state({k[4:]: v for k, v in loaded.items()})
+        assert restored._store.dtype == np.int32
+        assert_same_map(restored, oracle)
+        # the widened store takes counts past the narrow dtype, and new tiles
+        more = _keys([(3, -2), (3, -2), (-500, 900), (1 << 20, 0)])
+        restored.record_keys(more)
+        oracle.record_keys(more)
+        assert restored.count_at(3, -2) == z_max + 2
+        assert_same_map(restored, oracle)
 
     def test_state_of_a_changed_map_refused(self):
         m = VisitMap()
@@ -337,7 +378,7 @@ class TestAreaFromWalks:
         rows = ((len(g.series),), np.int64)
         assert fields == {
             "map_tile_ids": ((3,), np.uint64),
-            "map_tiles": ((3, 64 * 64), np.int32),
+            "map_tiles": ((3, 64 * 64), np.uint8),
             "series_n": rows,
             "series_n_p": rows,
             "series_area": rows,
