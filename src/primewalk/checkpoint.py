@@ -18,7 +18,7 @@ from numpy.lib import format as npy
 MAGIC = b"PWLK"
 VERSION = 5
 _HEAD = struct.Struct("<4sI32sQI")
-_CHUNK = 1 << 22
+_CHUNK = 1 << 20
 
 
 class CheckpointError(Exception):
@@ -29,8 +29,9 @@ class ChunkedArray:
     """An array that is written piece by piece, never whole.
 
     `chunks()` yields C-ordered arrays whose contents, one after another,
-    are the array's; `write_checkpoint` streams them into the file.
-    `np.asarray` joins them into one array, for use in memory.
+    are the array's; `write_checkpoint` streams them into the file.  A
+    chunk is valid only until the next one is requested, as its memory may
+    be reused.  `np.asarray` joins them into one array, for use in memory.
     """
 
     def __init__(self, shape: tuple, dtype, chunks):
@@ -51,15 +52,15 @@ class ChunkedArray:
 
 
 def _crc(fh, length: int) -> int:
-    """CRC32 of the `length` payload bytes, read in chunks."""
+    """CRC32 of the `length` payload bytes, read in chunks into one buffer."""
     fh.seek(_HEAD.size)
-    crc = 0
+    crc, buf = 0, memoryview(bytearray(min(_CHUNK, length)))
     while length > 0:
-        chunk = fh.read(min(_CHUNK, length))
-        if not chunk:
+        got = fh.readinto(buf[: min(_CHUNK, length)])
+        if not got:
             break
-        crc = zlib.crc32(chunk, crc)
-        length -= len(chunk)
+        crc = zlib.crc32(buf[:got], crc)
+        length -= got
     return crc
 
 

@@ -72,7 +72,6 @@ class RunConfig:
     seed: int = 0
     out_dir: Path = Path(".")
     analyses: tuple = ALL_ANALYSES
-    threads: int = 1
     export_visits: bool = False
 
     def __post_init__(self):
@@ -84,8 +83,6 @@ class RunConfig:
         bad = set(self.analyses) - set(ALL_ANALYSES)
         if bad:
             raise UsageError(f"unknown analyses: {sorted(bad)}")
-        if self.threads < 1:
-            raise UsageError(f"--threads must be >= 1, got {self.threads}")
 
     def identity(self) -> bytes:
         """Canonical JSON of the fields a resumed run must agree on."""
@@ -228,14 +225,7 @@ def execute_walk(
         summary = run_random_walk(cfg.limit, cfg.seed, observers, state=state)
     else:
         start = state.last_n + 1 if state else 2
-        summary = run_walk(
-            cfg.limit,
-            RULES[cfg.rule],
-            observers,
-            threads=cfg.threads,
-            start=start,
-            state=state,
-        )
+        summary = run_walk(cfg.limit, RULES[cfg.rule], observers, start=start, state=state)
     try:
         write_outputs(cfg, analyzers, summary, cfg.out_dir)
     finally:
@@ -294,7 +284,8 @@ def _add_walk_flags(p: argparse.ArgumentParser):
 def _add_run_flags(p: argparse.ArgumentParser):
     """Flags outside the run identity, so walk and resume both take them."""
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=1)
+    # only 1 is accepted: kept because the benchmark's command lines pass --threads 1
+    p.add_argument("--threads", type=int, default=1, choices=(1,))
     p.add_argument("--export-visits", action="store_true")
 
 
@@ -305,7 +296,6 @@ def _config_from_args(args) -> RunConfig:
         seed=parse_number(args.seed),
         out_dir=Path(args.out),
         analyses=tuple(s for s in args.analyses.split(",") if s),
-        threads=args.threads,
         export_visits=args.export_visits,
     )
 
@@ -339,7 +329,6 @@ def main(argv=None) -> int:
                 Path(args.checkpoint),
                 parse_limit(args.limit),
                 out_dir=Path(args.out),
-                threads=args.threads,
                 export_visits=args.export_visits,
             )
         return execute_walk(_config_from_args(args))

@@ -225,15 +225,21 @@ class VisitMap:
         narrowest of uint8, uint16 and int32 that holds the largest count.
 
         The tiles are read from the store chunk by chunk when they are
-        written, so the map must not change in between.
+        written, so the map must not change in between.  Each tile is cast
+        straight into one narrow chunk buffer, which every chunk reuses.
         """
         total, dtype = self._total, _narrowest(int(self._used().max(initial=0)))
 
         def chunks():
             if self._total != total:
                 raise RuntimeError("the visit map changed after its state was taken")
-            for _, tiles in self._chunks():
-                yield tiles.astype(dtype, copy=False)
+            buf = np.empty((min(_CHUNK_TILES, len(self._ids)), _TILE), dtype)
+            for a in range(0, len(self._ids), _CHUNK_TILES):
+                slots = self._slot[a : a + _CHUNK_TILES].tolist()
+                store = self._store.reshape(-1, _TILE)
+                for i, slot in enumerate(slots):
+                    buf[i] = store[slot]
+                yield buf[: len(slots)]
 
         tiles = ChunkedArray((len(self._ids), _TILE), dtype, chunks)
         return {"tile_ids": self._ids.copy(), "tiles": tiles}

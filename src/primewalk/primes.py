@@ -9,10 +9,6 @@ downstream consumer sees the same stream.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterator
 
 import numpy as np
@@ -34,22 +30,18 @@ def base_primes(limit_sqrt: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def _walk_flags(lo: int, hi: int, base: tuple) -> tuple[int, np.ndarray]:
+def _walk_flags(lo: int, hi: int, base: np.ndarray, buf: np.ndarray) -> tuple[int, np.ndarray]:
     """Walk-prime flags for the odd numbers >= 3 in [lo, hi).
 
     Returns (first_odd, flags) where flags[i] corresponds to first_odd + 2*i;
-    5 is cleared.  `base` is (primes, thread-local): the primes include every
-    odd prime <= floor(sqrt(hi - 1)), and the flags live in the calling
-    thread's buffer until its next call.
+    5 is cleared.  `base` includes every odd prime <= floor(sqrt(hi - 1)),
+    and the flags are a view of `buf`, valid until its next use.
     """
-    base, scratch = base
     first_odd = max(lo, 3) | 1
     count = (hi - first_odd + 1) // 2
     if count <= 0:
-        return first_odd, np.zeros(0, dtype=bool)
-    if len(getattr(scratch, "flags", ())) < count:
-        scratch.flags = np.empty(count, dtype=bool)
-    flags = scratch.flags[:count]
+        return first_odd, buf[:0]
+    flags = buf[:count]
     flags.fill(True)
     # base[0] is 2; strike each odd base prime p with p * p < hi from its
     # first odd multiple that is >= max(p * p, lo)
@@ -66,51 +58,34 @@ def _walk_flags(lo: int, hi: int, base: tuple) -> tuple[int, np.ndarray]:
     return first_odd, flags
 
 
-def _walk_primes_in(lo: int, hi: int, base: tuple) -> np.ndarray:
+def _walk_primes_in(lo: int, hi: int, base: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """Walk primes (last digit 1/3/7/9) in [lo, hi), ascending, in a new array."""
-    first_odd, flags = _walk_flags(lo, hi, base)
+    first_odd, flags = _walk_flags(lo, hi, base, buf)
     primes = np.flatnonzero(flags)  # int64 indices, mapped to odd N in place
     return np.add(np.multiply(primes, 2, out=primes), first_odd, out=primes)
 
 
-def _count_walk_primes_in(lo: int, hi: int, base: tuple) -> int:
-    return int(np.count_nonzero(_walk_flags(lo, hi, base)[1]))
+def _count_walk_primes_in(lo: int, hi: int, base: np.ndarray, buf: np.ndarray) -> int:
+    return int(np.count_nonzero(_walk_flags(lo, hi, base, buf)[1]))
 
 
 def _per_segment(
-    fn: Callable[[int, int, tuple], object],
+    fn: Callable[[int, int, np.ndarray, np.ndarray], object],
     limit: int,
     start: int,
     segment_flags: int,
-    threads: int,
 ) -> Iterator:
-    """fn(lo, hi, base) for each segment [lo, hi) of [start, limit], in order.
-
-    With threads > 1 a pool of min(threads, CPUs) workers sieves ahead, but
-    at most one segment more than the pool has workers is in flight, so
-    finished results never pile up behind a slow consumer and memory stays
-    bounded whatever `threads` asks for.
-    """
+    """fn(lo, hi, base, buf) for each segment [lo, hi) of [start, limit], in
+    order; every call sieves into the same flag buffer `buf`."""
     if segment_flags < 1:
         raise ValueError(f"segment_flags must be >= 1, got {segment_flags}")
     if limit < 2 or limit < start:
         return
-    base = base_primes(math.isqrt(limit)), threading.local()
+    base = base_primes(math.isqrt(limit))
+    buf = np.empty(min(segment_flags, limit // 2 + 1), dtype=bool)
     span = 2 * segment_flags
-    los = range(max(start, 2), limit + 1, span)
-    workers = min(threads, os.cpu_count() or 1)
-    if workers <= 1:
-        for lo in los:
-            yield fn(lo, min(lo + span, limit + 1), base)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        window = deque()
-        for lo in los:
-            window.append(pool.submit(fn, lo, min(lo + span, limit + 1), base))
-            if len(window) > workers:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
+    for lo in range(max(start, 2), limit + 1, span):
+        yield fn(lo, min(lo + span, limit + 1), base, buf)
 
 
 def iter_walk_prime_arrays(
@@ -118,15 +93,12 @@ def iter_walk_prime_arrays(
     *,
     start: int = 2,
     segment_flags: int = DEFAULT_SEGMENT_FLAGS,
-    threads: int = 1,
 ) -> Iterator[np.ndarray]:
     """Yield ascending arrays of walk primes in [start, limit].
 
-    Segmentation (and the thread count) never changes the concatenated
-    sequence; segments are handed off in order even when sieved ahead by a
-    worker pool.
+    Segmentation never changes the concatenated sequence.
     """
-    for arr in _per_segment(_walk_primes_in, limit, start, segment_flags, threads):
+    for arr in _per_segment(_walk_primes_in, limit, start, segment_flags):
         if len(arr):
             yield arr
 
@@ -138,4 +110,4 @@ def count_walk_primes(
     segment_flags: int = DEFAULT_SEGMENT_FLAGS,
 ) -> int:
     """Number of primes in [start, limit] with terminal digit in {1, 3, 7, 9}."""
-    return sum(_per_segment(_count_walk_primes_in, limit, start, segment_flags, 1))
+    return sum(_per_segment(_count_walk_primes_in, limit, start, segment_flags))

@@ -210,15 +210,12 @@ def run_walk(
     observers: Sequence[WalkObserver] = (),
     *,
     segment_flags: int = DEFAULT_SEGMENT_FLAGS,
-    threads: int = 1,
     start: int = 2,
     state: WalkState | None = None,
 ) -> WalkState:
     """Run the walk over every prime in [start, limit]; returns the final state."""
     session = WalkSession(rule, observers, state=state)
-    for batch in iter_walk_prime_arrays(
-        limit, start=start, segment_flags=segment_flags, threads=threads
-    ):
+    for batch in iter_walk_prime_arrays(limit, start=start, segment_flags=segment_flags):
         session.feed(batch)
     return session.finish(max(limit, 0))
 

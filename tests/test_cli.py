@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primewalk import checkpoint
+from primewalk import checkpoint, grid
 from primewalk.benford import BENFORD_EXPECTED
 from primewalk.checkpoint import (
     CheckpointError,
@@ -235,6 +235,7 @@ class TestWalkCommand:
             ("--seed", "-1"),
             ("--seed", str(1 << 64)),
             ("--threads", "0"),
+            ("--threads", "2"),
         ],
     )
     def test_out_of_range_is_usage_error(self, tmp_path, capsys, flag, value):
@@ -242,6 +243,15 @@ class TestWalkCommand:
         args = ("walk", "--rule", "rw", "--steps", "100", flag, value, "--out", out)
         assert run_cli(*args) == EXIT_USAGE
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_with_two_threads_is_usage_error(self, tmp_path, capsys):
+        first, out = tmp_path / "first", tmp_path / "bad"
+        assert run_cli("walk", "--limit", "1e4", "--out", first) == EXIT_OK
+        capsys.readouterr()
+        args = ("resume", first / "checkpoint.pwlk", "--limit", "2e4", "--threads", "2")
+        assert run_cli(*args, "--out", out) == EXIT_USAGE
+        assert "--threads" in capsys.readouterr().err
         assert not out.exists()
 
     def test_failed_output_write_keeps_checkpoint(self, tmp_path):
@@ -513,17 +523,23 @@ class TestOutputMemory:
             g.vmap.record_keys(np.array([pack_xy(x, y) for y in coords], dtype=np.uint64))
         tiles = len(g.vmap.state()["tile_ids"])
         assert tiles == 4096
-        budget = tiles * 64 * 64 * 4 // 4  # a quarter of the store's tiles
+        tile = 64 * 64 * 4  # bytes of one int32 tile
         cfg = RunConfig(analyses=("area", "benford", "recurrence"), out_dir=tmp_path)
         summary = WalkState(coords[-1], coords[-1], g.steps, g.steps)
         analyzers = {"grid": g}
         phases = {
-            "write_outputs": lambda: write_outputs(cfg, analyzers, summary, tmp_path),
-            "save_checkpoint": lambda: save_checkpoint(
-                cfg, analyzers, summary, tmp_path / "checkpoint.pwlk"
+            # a quarter of the store's tiles
+            "write_outputs": (
+                lambda: write_outputs(cfg, analyzers, summary, tmp_path),
+                tiles * tile // 4,
+            ),
+            # one uint8 chunk, one int32 tile being cast, the tile ids and 32 KB
+            "save_checkpoint": (
+                lambda: save_checkpoint(cfg, analyzers, summary, tmp_path / "checkpoint.pwlk"),
+                grid._CHUNK_TILES * tile // 4 + tile + tiles * 8 + (32 << 10),
             ),
         }
-        for name, phase in phases.items():
+        for name, (phase, budget) in phases.items():
             tracemalloc.start()
             try:
                 phase()

@@ -1,13 +1,8 @@
-import os
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from primewalk import primes
 from primewalk.primes import base_primes, count_walk_primes, iter_walk_prime_arrays
 
 from conftest import iter_events, trial_division_primes, walk_primes_oracle
@@ -77,67 +72,16 @@ class TestEventStream:
         segmented = [e.prime for e in iter_events(limit, segment_flags=flags)]
         assert default == segmented
 
-    def test_threaded_stream_identical(self):
-        plain = np.concatenate(
-            list(iter_walk_prime_arrays(200_000, segment_flags=1024))
-        )
-        threaded = np.concatenate(
-            list(iter_walk_prime_arrays(200_000, segment_flags=1024, threads=4))
-        )
-        assert np.array_equal(plain, threaded)
-
-    @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_yielded_arrays_outlive_the_next_segment(self, threads):
-        # each thread reuses its own flag buffer; the prime arrays are the
-        # caller's.  A short switch interval interleaves the sieving threads.
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            kept, copies = [], []
-            for arr in iter_walk_prime_arrays(200_000, segment_flags=256, threads=threads):
-                kept.append(arr)
-                copies.append(arr.copy())
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(kept) > 2 * threads
+    def test_yielded_arrays_outlive_the_next_segment(self):
+        # every segment is sieved into one reused flag buffer; the prime
+        # arrays are the caller's
+        kept, copies = [], []
+        for arr in iter_walk_prime_arrays(200_000, segment_flags=256):
+            kept.append(arr)
+            copies.append(arr.copy())
+        assert len(kept) > 2
         assert all(np.array_equal(a, c) for a, c in zip(kept, copies))
         assert np.concatenate(kept).tolist() == walk_primes_oracle(200_000)
-
-    def test_threaded_prefetch_is_bounded(self, monkeypatch):
-        started = []
-
-        def counting(lo, hi, base):
-            started.append(lo)
-            return sieve(lo, hi, base)
-
-        sieve = primes._walk_primes_in
-        monkeypatch.setattr(primes, "_walk_primes_in", counting)
-        it = iter_walk_prime_arrays(100_000, segment_flags=16, threads=2)
-        first = next(it)
-        # 3,125 segments in all; at most threads + 1 are in flight
-        assert len(started) <= 2 + 2
-        stream = np.concatenate([first, *it])
-        assert len(started) == 3125
-        assert stream.tolist() == walk_primes_oracle(100_000)
-
-    def test_pool_is_bounded_by_the_cpus(self, monkeypatch):
-        started, sievers = [], set()
-
-        def counting(lo, hi, base):
-            started.append(lo)
-            sievers.add(threading.get_ident())
-            return sieve(lo, hi, base)
-
-        sieve = primes._walk_primes_in
-        monkeypatch.setattr(primes, "_walk_primes_in", counting)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        it = iter_walk_prime_arrays(100_000, segment_flags=16, threads=8)
-        first = next(it)
-        # a pool of min(8, 2) workers: at most 2 + 1 segments in flight
-        assert len(started) <= 3
-        stream = np.concatenate([first, *it])
-        assert len(sievers) <= 2
-        assert stream.tolist() == walk_primes_oracle(100_000)
 
 
 class TestCountWalkPrimes:
@@ -166,5 +110,5 @@ class TestCountWalkPrimes:
         with pytest.raises(ValueError, match="segment_flags"):
             list(iter_walk_prime_arrays(1000, segment_flags=flags))
 
-    def test_threads_agree(self):
+    def test_small_segments_agree(self):
         assert count_walk_primes(10**6, segment_flags=1 << 12) == 78_496
