@@ -164,8 +164,6 @@ def write_outputs(cfg: RunConfig, analyzers: dict, summary, out_dir: Path):
                 lines.append((f"quadrant_{q}", c))
             lines.append(("axis_x_cells", rep.axis_counts[0]))
             lines.append(("axis_y_cells", rep.axis_counts[1]))
-        if cfg.export_visits:
-            grid.write_visits_csv(g.vmap, out_dir / "visits.csv")
 
     r = analyzers.get("runs")
     if r is not None:
@@ -183,6 +181,13 @@ def write_outputs(cfg: RunConfig, analyzers: dict, summary, out_dir: Path):
     with open(out_dir / "summary.txt", "w") as fh:
         for key, value in lines:
             fh.write(f"{key}={value}\n")
+
+    # last: a map above the size guard costs no other output
+    if g is not None and cfg.export_visits:
+        try:
+            grid.write_visits_csv(g.vmap, out_dir / "visits.csv")
+        except ValueError as exc:
+            raise UsageError(f"--export-visits: {exc}") from None
 
 
 def _write_benford(vmap: grid.VisitMap, path, lines):
@@ -224,8 +229,7 @@ def execute_walk(
     if cfg.rule == "rw":
         summary = run_random_walk(cfg.limit, cfg.seed, observers, state=state)
     else:
-        start = state.last_n + 1 if state else 2
-        summary = run_walk(cfg.limit, RULES[cfg.rule], observers, start=start, state=state)
+        summary = run_walk(cfg.limit, RULES[cfg.rule], observers, state=state)
     try:
         write_outputs(cfg, analyzers, summary, cfg.out_dir)
     finally:

@@ -27,6 +27,7 @@ _ROW_MASK = (1 << 26) - 1
 _TILE_MASK = np.uint64(0xFFFFFFC0_FFFFFFC0)  # clears X & 63, Y & 63: one value per tile
 _COUNT_MAX = np.iinfo(np.int32).max
 _HIST_MAX = 1 << 16  # largest z_max whose Benford counts come from a value histogram
+_VISITS_MAX_CELLS = 50_000_000  # largest map that write_visits_csv dumps
 
 
 def _tile_ids(keys: np.ndarray) -> np.ndarray:
@@ -158,13 +159,18 @@ class VisitMap:
         """(tile ids, tiles) in tile-id order, up to _CHUNK_TILES at a time:
         every tile, or those at positions `pos` of the sorted ids.
 
-        Each chunk is a copy, taken from the store as it is at that step,
-        because _reserve may move the store.
+        Each chunk is copied from the store as it is at that step, because
+        _reserve may move the store, into one buffer that every chunk
+        reuses: a chunk is valid until the next one is taken.
         """
         pos = np.arange(len(self._ids)) if pos is None else pos
+        buf = np.empty((min(_CHUNK_TILES, len(pos)), _TILE), dtype=np.int32)
         for a in range(0, len(pos), _CHUNK_TILES):
             p = pos[a : a + _CHUNK_TILES]
-            yield self._ids[p], self._store.reshape(-1, _TILE)[self._slot[p]]
+            store = self._store.reshape(-1, _TILE)
+            # slots < len(store) by construction; mode="raise" would copy `out` first
+            tiles = np.take(store, self._slot[p], axis=0, out=buf[: len(p)], mode="clip")
+            yield self._ids[p], tiles
 
     def _used(self) -> np.ndarray:
         """The store's slots in use, in slot order."""
@@ -463,10 +469,10 @@ class GridObserver(WalkObserver):
         return cls(vmap=vmap, series=series)
 
 
-def write_visits_csv(vmap: VisitMap, path, *, max_cells: int = 50_000_000) -> None:
-    """Dump the occupied cells as x,y,z rows (size-guarded)."""
-    if len(vmap) > max_cells:
-        raise ValueError(f"visit map has {len(vmap)} cells, above guard {max_cells}")
+def write_visits_csv(vmap: VisitMap, path) -> None:
+    """Dump the occupied cells as x,y,z rows; a map above _VISITS_MAX_CELLS is refused."""
+    if len(vmap) > _VISITS_MAX_CELLS:
+        raise ValueError(f"visit map has {len(vmap)} cells, above guard {_VISITS_MAX_CELLS}")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "y", "z"])

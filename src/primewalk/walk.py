@@ -2,10 +2,10 @@
 
 A walk starts at the origin and takes one unit step per event.  The three
 digit rules map the four terminal digits {1, 3, 7, 9} onto the four lattice
-directions; the random baseline picks directions uniformly from a seeded
-deterministic generator.  Both kinds share one per-batch step, and
-observers are notified in batches (numpy arrays) so large runs stay
-vectorized.
+directions; the random baseline steps as rule A1 on digits drawn uniformly
+from a seeded deterministic generator.  Both kinds run through one
+`WalkSession`, and observers are notified in batches (numpy arrays) so
+large runs stay vectorized.
 
 Positions travel as packed 64-bit cell keys, ((x + 2^31) << 32) | (y + 2^31),
 so both coordinates must stay in [-2^31, 2^31); the engine refuses a batch
@@ -132,44 +132,9 @@ class WalkObserver:
         pass
 
 
-def _advance(
-    state: WalkState,
-    idx: np.ndarray,
-    dx: np.ndarray,
-    dy: np.ndarray,
-    observers: Sequence[WalkObserver],
-    primes: np.ndarray | None = None,
-    keys: np.ndarray | None = None,
-) -> WalkState:
-    """Take one batch of steps; step i moves by (dx[idx[i]], dy[idx[i]]).
-
-    For a prime walk `idx` holds the digits of `primes`; the random baseline
-    passes no primes, and its scanned N is the step count.  The keys go to
-    `keys` if given.  A batch that would leave the packable range raises
-    ValueError before any observer sees it.
-    """
-    if max(abs(state.x), abs(state.y)) + len(idx) >= _OFFSET:
-        # near the edge a borrow out of y would silently move x: scan exactly
-        for name, d, c0 in (("x", dx, state.x), ("y", dy, state.y)):
-            c = c0 + np.cumsum(d[idx])
-            _check_range(name, int(c.min()), int(c.max()))
-    # unsigned wrap makes each partial sum of packed steps the packed position
-    dk = (dx.astype(np.uint64) << _SHIFT) + dy.astype(np.uint64)
-    key0 = pack_xy(state.x, state.y)
-    # idx < len(dk) by construction; mode="raise" would copy `out` first
-    keys = np.take(dk, idx, out=keys, mode="wrap")
-    np.cumsum(keys, out=keys)
-    keys += np.uint64(key0)
-    digits = None if primes is None else idx
-    for obs in observers:
-        obs.observe(primes, digits, keys, key0)
-    steps = state.steps_taken + len(idx)
-    last_n = steps if primes is None else int(primes[-1])
-    return WalkState(*unpack_key(keys[-1]), steps, last_n)
-
-
 class WalkSession:
-    """Incrementally executes a rule-driven walk over prime batches."""
+    """Executes a rule-driven walk batch by batch: the prime walk `feed`s its
+    primes, the random baseline `step`s on digits of its own."""
 
     def __init__(
         self,
@@ -181,20 +146,49 @@ class WalkSession:
         self.observers = list(observers)
         self.state = state or WalkState()
         self._dx, self._dy = rule.delta_tables()
+        # unsigned wrap makes each partial sum of packed steps the packed position
+        self._dk = (self._dx.astype(np.uint64) << _SHIFT) + self._dy.astype(np.uint64)
         self._digits = self._keys = None  # per-batch buffers, grown to the largest batch
 
-    def feed(self, primes: np.ndarray) -> None:
-        n = len(primes)
+    def _grow(self, n: int) -> None:
         if self._keys is None or n > len(self._keys):
             self._digits, self._keys = np.empty(n, np.uint8), np.empty(n, np.uint64)
-        if n:
-            # p - 10 * (p // 10): numpy divides by a constant faster than it takes remainders
-            tens = np.floor_divide(primes, 10, out=self._keys[:n].view(np.int64))
-            tens *= 10
-            digits = np.subtract(primes, tens, out=self._digits[:n], casting="unsafe")
-            self.state = _advance(
-                self.state, digits, self._dx, self._dy, self.observers, primes, self._keys[:n]
-            )
+
+    def feed(self, primes: np.ndarray) -> None:
+        """Take one step per prime, on its last digit."""
+        n = len(primes)
+        self._grow(n)
+        # p - 10 * (p // 10): numpy divides by a constant faster than it takes remainders
+        tens = np.floor_divide(primes, 10, out=self._keys[:n].view(np.int64))
+        tens *= 10
+        self.step(np.subtract(primes, tens, out=self._digits[:n], casting="unsafe"), primes)
+
+    def step(self, digits: np.ndarray, primes: np.ndarray | None = None) -> None:
+        """Take one batch of steps; step i moves as the rule moves on digits[i].
+
+        The scanned N is primes[-1], or without primes the step count.  A
+        batch that would leave the packable range raises ValueError before
+        any observer sees it.
+        """
+        st, n = self.state, len(digits)
+        if n == 0:
+            return
+        if max(abs(st.x), abs(st.y)) + n >= _OFFSET:
+            # near the edge a borrow out of y would silently move x: scan exactly
+            for name, d, c0 in (("x", self._dx, st.x), ("y", self._dy, st.y)):
+                c = c0 + np.cumsum(d[digits])
+                _check_range(name, int(c.min()), int(c.max()))
+        self._grow(n)
+        key0 = pack_xy(st.x, st.y)
+        # digits < len(dk) by construction; mode="raise" would copy `out` first
+        keys = np.take(self._dk, digits, out=self._keys[:n], mode="wrap")
+        np.cumsum(keys, out=keys)
+        keys += np.uint64(key0)
+        for obs in self.observers:
+            obs.observe(primes, None if primes is None else digits, keys, key0)
+        steps = st.steps_taken + n
+        last_n = steps if primes is None else int(primes[-1])
+        self.state = WalkState(*unpack_key(keys[-1]), steps, last_n)
 
     def finish(self, last_n: int) -> WalkState:
         self._digits = self._keys = None
@@ -210,11 +204,11 @@ def run_walk(
     observers: Sequence[WalkObserver] = (),
     *,
     segment_flags: int = DEFAULT_SEGMENT_FLAGS,
-    start: int = 2,
     state: WalkState | None = None,
 ) -> WalkState:
-    """Run the walk over every prime in [start, limit]; returns the final state."""
+    """Walk every prime in (state.last_n, limit]; returns the final state."""
     session = WalkSession(rule, observers, state=state)
+    start = session.state.last_n + 1
     for batch in iter_walk_prime_arrays(limit, start=start, segment_flags=segment_flags):
         session.feed(batch)
     return session.finish(max(limit, 0))
@@ -247,7 +241,7 @@ class RandomSource:
 
 
 # floor(r / 0.25) = i moves as rule A1 moves on the digit WALK_DIGITS[i]
-_RW_DX, _RW_DY = (t[list(WALK_DIGITS)] for t in A1.delta_tables())
+_RW_DIGITS = np.array(WALK_DIGITS, dtype=np.uint8)
 
 
 def run_random_walk(
@@ -267,15 +261,10 @@ def run_random_walk(
     """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} outside [0, 2^64)")
-    st = state or WalkState()
-    keys = np.empty(min(batch_size, max(steps - st.steps_taken, 0)), dtype=np.uint64)
-    while st.steps_taken < steps:
-        n = min(batch_size, steps - st.steps_taken)
-        block = RandomSource.block_at(seed, st.steps_taken + 1, n)
+    session = WalkSession(A1, observers, state=state)
+    while (taken := session.state.steps_taken) < steps:
+        block = RandomSource.block_at(seed, taken + 1, min(batch_size, steps - taken))
         if np.any((block < 0.0) | (block >= 1.0)):
             raise ValueError("uniform source produced r outside [0, 1)")
-        idx = (block / 0.25).astype(np.int64)
-        st = _advance(st, idx, _RW_DX, _RW_DY, observers, keys=keys[:n])
-    for obs in observers:
-        obs.finish(st.last_n, st.steps_taken)
-    return st
+        session.step(_RW_DIGITS[(block / 0.25).astype(np.int64)])
+    return session.finish(steps)

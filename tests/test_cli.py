@@ -281,6 +281,20 @@ class TestWalkCommand:
         total = sum(int(line.split(",")[2]) for line in lines[1:])
         assert total == int(read_summary(out)["n_p"])
 
+    def test_visits_export_above_guard_keeps_every_other_output(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(grid, "_VISITS_MAX_CELLS", 10)
+        out = tmp_path / "v"
+        assert run_cli("walk", "--limit", "1e4", "--out", out, "--export-visits") == EXIT_USAGE
+        g = GridObserver()
+        run_walk(10_000, A1, [g])
+        guard = f"visit map has {len(g.vmap)} cells, above guard 10"
+        assert capsys.readouterr().err == f"error: --export-visits: {guard}\n"
+        written = {p.name for p in out.iterdir()}
+        assert written == {*CSV_FILES, "summary.txt", "checkpoint.pwlk"}
+        assert read_summary(out)["n"] == "10000"
+
 
 class TestResume:
     def test_resume_equals_direct(self, tmp_path):

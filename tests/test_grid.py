@@ -19,8 +19,8 @@ from primewalk.grid import (
 )
 from primewalk.walk import (
     A1,
+    WalkSession,
     WalkState,
-    _advance,
     pack_xy,
     run_random_walk,
     run_walk,
@@ -131,15 +131,17 @@ class TestVisitMap:
 
     def test_observer_batch_near_range_edge(self):
         g = GridObserver()
-        x0 = (1 << 31) - 3
-        right = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        session = WalkSession(A1, [g], state=WalkState((1 << 31) - 3, 0))
+        right = np.full(2, 7, dtype=np.uint8)  # A1 steps right on digit 7
         # ends on 2^31 - 1, the last packable x
-        edge = _advance(WalkState(x0, 0), np.zeros(2, dtype=np.int64), *right, [g])
+        session.step(right)
+        edge = session.state
         assert (edge.x, edge.y) == ((1 << 31) - 1, 0)
         assert g.vmap.count_at((1 << 31) - 1, 0) == 1
         # one more step right is refused before the observer sees it
         with pytest.raises(ValueError, match="x coordinate 2147483648"):
-            _advance(edge, np.zeros(1, dtype=np.int64), *right, [g])
+            session.step(right[:1])
+        assert session.state == edge
         assert g.vmap.total_visits == g.steps == 2
 
     @given(BATCHES)
@@ -476,6 +478,24 @@ class TestRecurrence:
     def test_empty_map_rejected(self):
         with pytest.raises(ValueError):
             recurrence_report(VisitMap())
+
+    def test_reads_one_chunk_at_a_time(self, monkeypatch):
+        # three visits to one cell of each of 16 x 16 tiles around the origin,
+        # axis tiles included: four chunks of 64 tiles
+        monkeypatch.setattr(grid, "_CHUNK_TILES", 64)
+        coords = [64 * i for i in range(-8, 8)]
+        m = VisitMap()
+        m.record_keys(_keys([(x, y) for x in coords for y in coords] * 3))
+        assert len(m.state()["tile_ids"]) == 4 * grid._CHUNK_TILES
+        tracemalloc.start()
+        try:
+            rep = recurrence_report(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = grid._CHUNK_TILES * grid._TILE * 4  # bytes of one int32 chunk
+        assert peak < 1.5 * chunk, (peak, chunk)
+        assert rep == recurrence_oracle(m)
 
     def test_partition_of_distinct_cells(self):
         g = GridObserver()

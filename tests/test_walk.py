@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primewalk.grid import GridObserver
+from primewalk.polar import PolarObserver
 from primewalk.primes import WALK_DIGITS, iter_walk_prime_arrays
 from primewalk.runs import RunLengthObserver
 from primewalk.walk import (
@@ -17,7 +20,6 @@ from primewalk.walk import (
     WalkRule,
     WalkSession,
     WalkState,
-    _advance,
     pack_xy,
     run_random_walk,
     run_walk,
@@ -199,6 +201,24 @@ class TestRunWalk:
             assert s.keys() == t.keys()
             assert all(np.array_equal(s[k], t[k]) for k in s)
 
+    @pytest.mark.parametrize("rule", [A1, A3])
+    @pytest.mark.parametrize("m", [0, 1, 13, 499, 500, 997, 999, 1000])
+    def test_resume_equals_direct(self, rule, m):
+        def analyses():
+            return [GridObserver(), RunLengthObserver(), PolarObserver()]
+
+        direct = analyses()
+        end = run_walk(1000, rule, direct)
+        first = analyses()
+        mid = run_walk(m, rule, first)
+        resumed = [type(obs).from_state(obs.state()) for obs in first]
+        assert run_walk(1000, rule, resumed, state=mid) == end
+        assert end.steps_taken == 166
+        for one, other in zip(resumed, direct):
+            s, t = one.state(), other.state()
+            assert s.keys() == t.keys()
+            assert all(np.array_equal(s[k], t[k]) for k in s)
+
     @given(st.integers(min_value=0, max_value=3000))
     @settings(max_examples=20, deadline=None)
     def test_chebyshev_bound(self, limit):
@@ -207,6 +227,33 @@ class TestRunWalk:
         for i, (x, y) in enumerate(rec.path, start=1):
             assert max(abs(x), abs(y)) <= i
         assert abs(summary.x) + abs(summary.y) <= summary.steps_taken
+
+
+class TestBatchEntryPoints:
+    """perfbench/tracer.py counts walk batches by rebinding `WalkSession.feed`
+    and `RandomSource.block_at`: one call is one batch."""
+
+    @pytest.mark.parametrize("resume_at", [0, 2000])
+    def test_prime_walk_feeds_once_per_segment(self, resume_at):
+        state = run_walk(resume_at, A1)
+        segments = len(list(iter_walk_prime_arrays(5000, start=resume_at + 1, segment_flags=64)))
+        feed = WalkSession.feed
+        with mock.patch.object(WalkSession, "feed", autospec=True, side_effect=feed) as spy:
+            run_walk(5000, A1, segment_flags=64, state=state)
+        assert spy.call_count == segments > 1
+
+    @pytest.mark.parametrize("resume_at", [0, 500])
+    def test_random_walk_draws_once_per_batch_and_never_feeds(self, resume_at):
+        state = run_random_walk(resume_at, 3)
+        block_at = RandomSource.block_at
+        with mock.patch.object(RandomSource, "block_at", wraps=block_at) as draws, \
+                mock.patch.object(WalkSession, "feed", autospec=True) as feed:
+            run_random_walk(1000, 3, batch_size=64, state=state)
+        assert draws.call_count == -(-(1000 - resume_at) // 64)
+        assert [c.args[1:] for c in draws.call_args_list[:2]] == [
+            (resume_at + 1, 64), (resume_at + 65, 64)
+        ]
+        feed.assert_not_called()
 
 
 class TestPearson:
@@ -338,10 +385,11 @@ def test_advance_keys_match_step_oracle(data):
     digits = data.draw(st.lists(st.sampled_from(WALK_DIGITS), min_size=1, max_size=40))
     cuts = sorted(data.draw(st.sets(st.integers(1, len(digits)), max_size=4)) | {len(digits)})
     start = WalkState(data.draw(near_edges(len(digits))), data.draw(near_edges(len(digits))))
-    dx, dy = rule.delta_tables()
-    rec, state, oracle = KeyRecorder(), start, start
+    rec, oracle = KeyRecorder(), start
+    session = WalkSession(rule, [rec], state=start)
+    progress = lambda s: (s.x, s.y, s.steps_taken)  # the oracle does not track N
     for a, b in zip([0, *cuts], cuts):
-        batch = np.array(digits[a:b], dtype=np.int64)
+        batch = np.array(digits[a:b], dtype=np.uint8)
         before, path = oracle, []
         for d in batch.tolist():
             oracle = step(oracle, d, rule)
@@ -349,11 +397,12 @@ def test_advance_keys_match_step_oracle(data):
         if not all(-EDGE <= c < EDGE for xy in path for c in xy):
             delivered = len(rec.batches)
             with pytest.raises(ValueError, match="coordinate"):
-                _advance(state, batch, dx, dy, [rec], batch)
+                session.step(batch, batch.astype(np.int64))
             assert len(rec.batches) == delivered
+            assert progress(session.state) == progress(before)
             return
-        state = _advance(state, batch, dx, dy, [rec], batch)
+        session.step(batch, batch.astype(np.int64))
         keys, key0 = rec.batches[-1]
         assert key0 == pack_xy(before.x, before.y)
         assert keys == [pack_xy(x, y) for x, y in path]
-        assert (state.x, state.y, state.steps_taken) == (oracle.x, oracle.y, oracle.steps_taken)
+        assert progress(session.state) == progress(oracle)
