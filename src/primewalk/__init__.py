@@ -3,7 +3,7 @@
 from .benford import benford_table
 from .fitting import FitResult, fit_area_growth, linear_fit
 from .grid import AreaSeries, GridObserver, VisitMap, recurrence_report
-from .polar import PolarObserver, box_counting_dimension, delta_phi_histogram
+from .polar import PolarObserver, delta_phi_histogram
 from .primes import base_primes, count_walk_primes, iter_walk_prime_arrays
 from .runs import RunHistogram, short_run_fraction
 from .walk import (
@@ -38,7 +38,6 @@ __all__ = [
     "WalkState",
     "base_primes",
     "benford_table",
-    "box_counting_dimension",
     "count_walk_primes",
     "delta_phi_histogram",
     "fit_area_growth",

@@ -25,6 +25,7 @@ EXIT_IO = 2
 EXIT_CHECKPOINT = 3
 
 ALL_ANALYSES = ("area", "runs", "benford", "polar", "recurrence")
+GRID_ANALYSES = {"area", "benford", "recurrence"}  # the analyses read from the visit map
 
 
 class UsageError(Exception):
@@ -83,6 +84,8 @@ class RunConfig:
         bad = set(self.analyses) - set(ALL_ANALYSES)
         if bad:
             raise UsageError(f"unknown analyses: {sorted(bad)}")
+        if self.export_visits and not GRID_ANALYSES & set(self.analyses):
+            raise UsageError(f"--export-visits needs one of {sorted(GRID_ANALYSES)} in --analyses")
 
     def identity(self) -> bytes:
         """Canonical JSON of the fields a resumed run must agree on."""
@@ -110,7 +113,7 @@ def build_analyzers(cfg: RunConfig, sections: dict | None = None) -> dict:
     """Observers for cfg by checkpoint section name, in the order the walk
     calls them: fresh, or restored from checkpoint `sections`."""
     wanted = {}
-    if {"area", "benford", "recurrence"} & set(cfg.analyses):
+    if GRID_ANALYSES & set(cfg.analyses):
         wanted["grid"] = grid.GridObserver
     if "runs" in cfg.analyses and cfg.rule != "rw":
         wanted["runs"] = runs.RunLengthObserver

@@ -53,22 +53,25 @@ def _tile_offsets(keys: np.ndarray, out=None, tmp=None) -> np.ndarray:
 class VisitMap:
     """Sparse z(x, y) counts over visited lattice cells.
 
-    Cells live in dense 64x64 int32 tiles, packed one after another into a
-    flat store that grows in place.  A sorted index of tile ids,
-    (X >> 6) << 26 | (Y >> 6) over the packed X and Y, maps each visited
-    tile to its slot in the store, so a batch costs O(batch + tiles it
-    touches) whatever the size of the map, and memory grows with the
+    Cells live in dense 64x64 tiles, the rows of a store that grows in
+    place.  The store holds the narrowest of uint8, uint16 and int32 that
+    holds the largest count (4, 8 or 16 KB a tile), the dtype a checkpoint
+    stores too; a batch that would pass that dtype's maximum widens the
+    store first, once for each dtype it outgrows.  A sorted index of tile
+    ids, (X >> 6) << 26 | (Y >> 6) over the packed X and Y, maps each
+    visited tile to its row in the store, so a batch costs O(batch + tiles
+    it touches) whatever the size of the map, and memory grows with the
     visited tiles rather than with the bounding box.
     """
 
     def __init__(self):
         self._ids = np.empty(0, dtype=np.uint64)  # sorted tile ids
-        self._slot = np.empty(0, dtype=np.int64)  # store slot of each id
-        self._store = np.zeros(0, dtype=np.int32)  # _TILE cells per slot
-        self._occupied = np.zeros(0, dtype=np.int64)  # nonzero cells per slot
+        self._slot = np.empty(0, dtype=np.int64)  # store row of each id
+        self._store = np.zeros((0, _TILE), dtype=np.uint8)  # one tile per row
+        self._occupied = np.zeros(0, dtype=np.int64)  # nonzero cells per row
         self._cells = 0
         self._total = 0
-        self._scratch = None  # masked keys and store index of a batch, see _flat_index
+        self._scratch = None  # masked keys and cell index of a batch, see _flat_index
 
     def __len__(self) -> int:
         return self._cells
@@ -91,11 +94,12 @@ class VisitMap:
             return np.zeros(len(keys), dtype=np.int64)
         tids = _tile_ids(keys)
         pos = np.minimum(np.searchsorted(self._ids, tids), len(self._ids) - 1)
-        flat = self._slot[pos] * _TILE + _tile_offsets(keys)
-        return np.where(self._ids[pos] == tids, self._store[flat], 0).astype(np.int64)
+        counts = self._store[self._slot[pos], _tile_offsets(keys)]
+        return np.where(self._ids[pos] == tids, counts, 0).astype(np.int64)
 
     def _flat_index(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Store index of each key (in scratch) and the slots it touches; adds missing tiles."""
+        """The batch's distinct tile ids, and each key's index (in scratch)
+        into their cells laid one tile after another."""
         if self._scratch is None or self._scratch.shape[1] < len(keys):
             self._scratch = np.empty((2, len(keys)), dtype=np.uint64)
         tiles, flat = self._scratch[:, : len(keys)]
@@ -103,9 +107,41 @@ class VisitMap:
         # a walk stays in one tile for many steps: look up runs, not steps
         starts = np.flatnonzero(np.concatenate(([True], tiles[1:] != tiles[:-1])))
         uniq, run_of = np.unique(_tile_ids(keys[starts]), return_inverse=True)
+        lengths = np.diff(np.append(starts, len(keys)))
+        # the runs are found, so tiles is free: the offsets' temporary
+        flat = _tile_offsets(keys, out=flat.view(np.int64), tmp=tiles.view(np.int64))
+        flat += np.repeat(run_of * _TILE, lengths)
+        return uniq, flat
+
+    def _reserve(self, tiles: int) -> None:
+        if tiles > len(self._occupied):
+            cap = max(tiles, int(len(self._occupied) * 1.25))
+            # in place: no view of either array outlives a method call
+            self._store.resize((cap, _TILE), refcheck=False)
+            self._occupied.resize(cap, refcheck=False)
+
+    def record_keys(self, keys: np.ndarray) -> None:
+        """Merge a batch of packed arrival keys into the map.
+
+        The batch is counted over the tiles it touches and added to their
+        counts in int64; a batch that would take a count past _COUNT_MAX is
+        refused before the map changes.
+        """
+        if len(keys) == 0:
+            return
+        keys = np.asarray(keys, dtype=np.uint64)
+        uniq, flat = self._flat_index(keys)
+        sums = np.bincount(flat, minlength=len(uniq) * _TILE).reshape(-1, _TILE)
         pos = np.searchsorted(self._ids, uniq)
         hit = pos < len(self._ids)
         hit[hit] = self._ids[pos[hit]] == uniq[hit]
+        sums[hit] += self._store[self._slot[pos[hit]]]
+        top = int(sums.max())
+        if top > _COUNT_MAX:
+            x, y = unpack_key(keys[np.argmax(flat == sums.argmax())])
+            raise ValueError(f"visit count at ({x}, {y}) would pass {_COUNT_MAX}")
+        if top > np.iinfo(self._store.dtype).max:
+            self._store = self._store.astype(_narrowest(top))
         new = ~hit
         if new.any():
             first = len(self._ids)
@@ -114,45 +150,11 @@ class VisitMap:
             self._slot = np.insert(self._slot, pos[new], slots)
             self._reserve(len(self._ids))
             pos = pos + np.cumsum(new) - new  # positions after the insert
-        touched = self._slot[pos]
-        lengths = np.diff(np.append(starts, len(keys)))
-        # the runs are found, so tiles is free: the offsets' temporary
-        flat = _tile_offsets(keys, out=flat.view(np.int64), tmp=tiles.view(np.int64))
-        flat += np.repeat(touched[run_of] * _TILE, lengths)
-        return flat, touched
-
-    def _reserve(self, tiles: int) -> None:
-        if tiles > len(self._occupied):
-            cap = max(tiles, int(len(self._occupied) * 1.25))
-            # in place: no view of either array outlives a method call
-            self._store.resize(cap * _TILE, refcheck=False)
-            self._occupied.resize(cap, refcheck=False)
-
-    def _recount(self, slots: np.ndarray) -> None:
-        """Refresh the occupied-cell counts of the distinct tiles in `slots`."""
-        occupied = np.count_nonzero(self._store.reshape(-1, _TILE)[slots], axis=1)
+        slots = self._slot[pos]
+        self._store[slots] = sums
+        occupied = np.count_nonzero(sums, axis=1)
         self._cells += int(occupied.sum() - self._occupied[slots].sum())
         self._occupied[slots] = occupied
-
-    def _check_overflow(self, keys: np.ndarray) -> None:
-        uniq, cnt = np.unique(keys, return_counts=True)
-        over = np.flatnonzero(self._lookup(uniq) + cnt > _COUNT_MAX)
-        if len(over):
-            x, y = unpack_key(uniq[over[0]])
-            raise ValueError(f"visit count at ({x}, {y}) would pass {_COUNT_MAX}")
-
-    def record_keys(self, keys: np.ndarray) -> None:
-        """Merge a batch of packed arrival keys into the map."""
-        if len(keys) == 0:
-            return
-        keys = np.asarray(keys, dtype=np.uint64)
-        # no cell can pass the cap before the total does
-        if self._total + len(keys) > _COUNT_MAX:
-            self._check_overflow(keys)
-        flat, touched = self._flat_index(keys)
-        # an int32 increment keeps add.at on its fast path (~15x faster)
-        np.add.at(self._store, flat, np.int32(1))
-        self._recount(touched)
         self._total += len(keys)
 
     def _chunks(self, pos=None):
@@ -163,18 +165,14 @@ class VisitMap:
         _reserve may move the store, into one buffer that every chunk
         reuses: a chunk is valid until the next one is taken.
         """
-        pos = np.arange(len(self._ids)) if pos is None else pos
-        buf = np.empty((min(_CHUNK_TILES, len(pos)), _TILE), dtype=np.int32)
-        for a in range(0, len(pos), _CHUNK_TILES):
-            p = pos[a : a + _CHUNK_TILES]
-            store = self._store.reshape(-1, _TILE)
+        n = len(self._ids) if pos is None else len(pos)
+        buf = np.empty((min(_CHUNK_TILES, n), _TILE), dtype=self._store.dtype)
+        for a in range(0, n, _CHUNK_TILES):
+            p = slice(a, a + _CHUNK_TILES) if pos is None else pos[a : a + _CHUNK_TILES]
+            slots = self._slot[p]
             # slots < len(store) by construction; mode="raise" would copy `out` first
-            tiles = np.take(store, self._slot[p], axis=0, out=buf[: len(p)], mode="clip")
+            tiles = np.take(self._store, slots, axis=0, out=buf[: len(slots)], mode="clip")
             yield self._ids[p], tiles
-
-    def _used(self) -> np.ndarray:
-        """The store's slots in use, in slot order."""
-        return self._store[: len(self._ids) * _TILE]
 
     def leading_digit_counts(self) -> np.ndarray:
         """How many occupied cells have a visit count of leading digit 1, ..., 9.
@@ -183,7 +181,7 @@ class VisitMap:
         tile order and so is read from the store itself, is grouped by the
         leading digits of 1..z_max; above it each count is divided down.
         """
-        used = self._used()
+        used = self._store[: len(self._ids)].reshape(-1)
         z_max = int(used.max(initial=0))
         counts = np.zeros(10, dtype=np.int64)
         if z_max > _HIST_MAX:
@@ -227,27 +225,21 @@ class VisitMap:
 
     # checkpoint support
     def state(self) -> dict:
-        """The sorted tile ids and their tiles, in tile-id order, as the
-        narrowest of uint8, uint16 and int32 that holds the largest count.
+        """The sorted tile ids and their tiles, in tile-id order and in the
+        store's dtype: the narrowest of uint8, uint16 and int32 that holds
+        the largest count.
 
         The tiles are read from the store chunk by chunk when they are
-        written, so the map must not change in between.  Each tile is cast
-        straight into one narrow chunk buffer, which every chunk reuses.
+        written, so the map must not change in between.
         """
-        total, dtype = self._total, _narrowest(int(self._used().max(initial=0)))
+        total = self._total
 
         def chunks():
             if self._total != total:
                 raise RuntimeError("the visit map changed after its state was taken")
-            buf = np.empty((min(_CHUNK_TILES, len(self._ids)), _TILE), dtype)
-            for a in range(0, len(self._ids), _CHUNK_TILES):
-                slots = self._slot[a : a + _CHUNK_TILES].tolist()
-                store = self._store.reshape(-1, _TILE)
-                for i, slot in enumerate(slots):
-                    buf[i] = store[slot]
-                yield buf[: len(slots)]
+            return (tiles for _, tiles in self._chunks())
 
-        tiles = ChunkedArray((len(self._ids), _TILE), dtype, chunks)
+        tiles = ChunkedArray((len(self._ids), _TILE), self._store.dtype, chunks)
         return {"tile_ids": self._ids.copy(), "tiles": tiles}
 
     @classmethod
@@ -259,13 +251,14 @@ class VisitMap:
             raise ValueError("tile ids must be strictly increasing and below 2^52")
         if tiles.shape != (len(ids), _TILE) or tiles.dtype.kind not in "iu":
             raise ValueError(f"tiles are {tiles.dtype} {tiles.shape}, not ({len(ids)}, {_TILE})")
-        if tiles.size and (tiles.min() < 0 or tiles.max() > _COUNT_MAX):
+        z_max = int(tiles.max(initial=0))
+        if tiles.size and (tiles.min() < 0 or z_max > _COUNT_MAX):
             raise ValueError(f"a visit count lies outside [0, {_COUNT_MAX}]")
         m = cls()
         m._ids, m._slot = ids, np.arange(len(ids), dtype=np.int64)
-        m._occupied = np.count_nonzero(tiles, axis=1)
-        # widened in one copy, which the map owns: _reserve resizes it
-        m._store = np.array(tiles.ravel(), dtype=np.int32)
+        # in the store's dtype, in an array the map owns: _reserve resizes it
+        m._store = np.array(tiles, dtype=_narrowest(z_max))
+        m._occupied = np.count_nonzero(m._store, axis=1)
         m._cells = int(m._occupied.sum())
         m._total = int(m._store.sum(dtype=np.int64))
         return m

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fitting import FitResult, linear_fit
 from .walk import WalkObserver, unpack_keys
 
 TWO_PI = 2.0 * math.pi
@@ -92,39 +91,3 @@ class PolarObserver(WalkObserver):
         if counts.min() < 0 or skipped < 0:
             raise ValueError("dphi counts and the skip tally must be >= 0")
         return cls(PolarDeltas(counts=counts, skipped=skipped))
-
-
-def box_counting_dimension(
-    px: np.ndarray, py: np.ndarray, scales=None
-) -> FitResult:
-    """Box-counting slope of a 2D point cloud.
-
-    Points are normalized per-axis onto the unit square; for each box size s
-    the number of occupied s-boxes is counted, and the slope of
-    log(count) versus log(1/s) is the dimension estimate.  A degenerate
-    cloud (single distinct point) yields dimension 0 with zero stderr.
-    """
-    px = np.asarray(px, dtype=np.float64)
-    py = np.asarray(py, dtype=np.float64)
-    if len(px) == 0 or len(px) != len(py):
-        raise ValueError("need matching non-empty coordinate arrays")
-    if scales is None:
-        scales = [2.0**-k for k in range(2, 8)]
-    if len(scales) < 2:
-        raise ValueError("need at least two box scales")
-    span_x = px.max() - px.min()
-    span_y = py.max() - py.min()
-    if span_x == 0.0 and span_y == 0.0:
-        return FitResult(slope=0.0, intercept=0.0, slope_stderr=0.0, r_squared=1.0, n_points=len(scales))
-    nx = (px - px.min()) / span_x if span_x > 0 else np.zeros_like(px)
-    ny = (py - py.min()) / span_y if span_y > 0 else np.zeros_like(py)
-    log_counts = []
-    log_inv = []
-    for s in scales:
-        grid = math.ceil(1.0 / s)
-        ix = np.minimum((nx / s).astype(np.int64), grid - 1)
-        iy = np.minimum((ny / s).astype(np.int64), grid - 1)
-        boxes = len(np.unique(ix * grid + iy))
-        log_counts.append(math.log(boxes))
-        log_inv.append(math.log(1.0 / s))
-    return linear_fit(log_inv, log_counts)

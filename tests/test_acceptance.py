@@ -20,7 +20,7 @@ from primewalk.benford import benford_table
 from primewalk.cli import main as cli_main
 from primewalk.fitting import fit_area_growth
 from primewalk.grid import GridObserver
-from primewalk.polar import PolarObserver, box_counting_dimension
+from primewalk.polar import PolarObserver
 from primewalk.primes import count_walk_primes, iter_walk_prime_arrays
 from primewalk.runs import RunLengthObserver, short_run_fraction
 from primewalk.walk import A1, A2, A3, WalkSession, run_random_walk, run_walk
@@ -190,15 +190,6 @@ class TestCriterion6PolarInvariants:
             f"{len(d)} samples + {d.skipped} skipped == {summary.steps_taken} steps, "
             f"as streamed into the dphi histogram",
         )
-
-    def test_box_counting_oracles(self):
-        t = np.linspace(0, 1, 10_000)
-        line = box_counting_dimension(t, t)
-        report("6d", abs(line.slope - 1.0) <= 0.1, f"line dimension {line.slope:.3f}")
-        g = np.linspace(0, 1, 256)
-        gx, gy = np.meshgrid(g, g)
-        grid_fit = box_counting_dimension(gx.ravel(), gy.ravel())
-        report("6e", abs(grid_fit.slope - 2.0) <= 0.1, f"grid dimension {grid_fit.slope:.3f}")
 
 
 class TestCriterion7DeterminismAndResume:

@@ -7,7 +7,7 @@ PUBLIC = {
     "base_primes", "count_walk_primes", "iter_walk_prime_arrays",
     "AreaSeries", "GridObserver", "VisitMap", "recurrence_report",
     "RunHistogram", "short_run_fraction",
-    "PolarObserver", "box_counting_dimension", "delta_phi_histogram",
+    "PolarObserver", "delta_phi_histogram",
     "benford_table",
     "FitResult", "fit_area_growth", "linear_fit",
 }

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primewalk import checkpoint, grid
+from primewalk import checkpoint, cli, grid
 from primewalk.benford import BENFORD_EXPECTED
 from primewalk.checkpoint import (
     CheckpointError,
@@ -295,6 +295,15 @@ class TestWalkCommand:
         assert written == {*CSV_FILES, "summary.txt", "checkpoint.pwlk"}
         assert read_summary(out)["n"] == "10000"
 
+    def test_visits_export_without_a_grid_refused(self, tmp_path, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "execute_walk", lambda *a, **k: ran.append(a))
+        out = tmp_path / "v"
+        args = ("walk", "--limit", "1000", "--analyses", "runs,polar", "--export-visits")
+        assert run_cli(*args, "--out", out) == EXIT_USAGE
+        assert "--export-visits" in capsys.readouterr().err
+        assert not ran and not out.exists()
+
 
 class TestResume:
     def test_resume_equals_direct(self, tmp_path):
@@ -321,6 +330,17 @@ class TestResume:
         for name in ["area_series.csv", "benford.csv", "dphi_hist.csv",
                      "summary.txt", "checkpoint.pwlk"]:
             assert (direct / name).read_bytes() == (resumed / name).read_bytes(), name
+
+    def test_resume_visits_export_without_a_grid_refused(self, tmp_path, capsys, monkeypatch):
+        half = tmp_path / "h"
+        run_cli("walk", "--limit", "1000", "--analyses", "runs", "--out", half)
+        ran = []
+        monkeypatch.setattr(cli, "execute_walk", lambda *a, **k: ran.append(a))
+        out = tmp_path / "r"
+        args = ("resume", half / "checkpoint.pwlk", "--limit", "2000", "--export-visits")
+        assert run_cli(*args, "--out", out) == EXIT_USAGE
+        assert "--export-visits" in capsys.readouterr().err
+        assert not ran and not out.exists()
 
     def test_resume_backwards_refused(self, tmp_path):
         out = tmp_path / "o"

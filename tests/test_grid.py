@@ -299,14 +299,37 @@ class TestTilePaths:
         assert m.state()["tiles"].dtype == dtype
         loaded = _assert_streamed_equals_savez(tmp_path / "checkpoint.pwlk", m, 1)
         restored = VisitMap.from_state({k[4:]: v for k, v in loaded.items()})
-        assert restored._store.dtype == np.int32
+        assert restored._store.dtype == dtype
         assert_same_map(restored, oracle)
-        # the widened store takes counts past the narrow dtype, and new tiles
+        # the restored store widens past the narrow dtype, and takes new tiles
         more = _keys([(3, -2), (3, -2), (-500, 900), (1 << 20, 0)])
         restored.record_keys(more)
         oracle.record_keys(more)
         assert restored.count_at(3, -2) == z_max + 2
         assert_same_map(restored, oracle)
+
+    @given(
+        st.lists(st.tuples(st.integers(-80, 80), st.integers(-80, 80)), max_size=40),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_store_widens_through_every_dtype(self, cold, seed):
+        """One hot cell driven past 255 and 65,535 among random cold cells:
+        the store is the narrowest dtype that holds z_max after every batch."""
+        m, oracle, rng = VisitMap(), SortedVisitMap(), np.random.default_rng(seed)
+        hot = pack_xy(3, -2)
+        for n_hot in (200, 55, 1, 65_000, 279, 1, 70_000):
+            keys = rng.permutation(np.append(np.full(n_hot, hot, dtype=np.uint64), _keys(cold)))
+            for batch in (keys, rng.permutation(_keys(cold))[: len(cold) // 2]):
+                m.record_keys(batch)
+                oracle.record_keys(batch)
+                z_max = int(z_values(oracle).max())
+                assert m._store.dtype == _narrowest(z_max)
+                assert_same_map(m, oracle)
+                restored = VisitMap.from_state(m.state())
+                assert restored._store.dtype == m._store.dtype
+                assert_same_map(restored, oracle)
+        assert m._store.dtype == np.int32
 
     def test_state_of_a_changed_map_refused(self):
         m = VisitMap()

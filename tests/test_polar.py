@@ -9,7 +9,6 @@ from primewalk.polar import (
     DPHI_BINS,
     DPHI_EDGES,
     PolarObserver,
-    box_counting_dimension,
     delta_phi_histogram,
     wrap_angle,
 )
@@ -166,29 +165,3 @@ class TestDeltaPhiHistogram:
     def test_out_of_range_refused(self, value):
         with pytest.raises(ValueError, match="outside"):
             delta_phi_histogram(np.array([0.0, value]))
-
-
-class TestBoxCounting:
-    def test_line_dimension(self):
-        t = np.linspace(0, 1, 10_000)
-        fit = box_counting_dimension(t, t)
-        assert fit.slope == pytest.approx(1.0, abs=0.1)
-
-    def test_filled_grid_dimension(self):
-        g = np.linspace(0, 1, 256)
-        gx, gy = np.meshgrid(g, g)
-        fit = box_counting_dimension(gx.ravel(), gy.ravel())
-        assert fit.slope == pytest.approx(2.0, abs=0.1)
-
-    def test_single_point(self):
-        fit = box_counting_dimension(np.array([0.3]), np.array([0.7]))
-        assert fit.slope == 0.0
-        assert fit.slope_stderr == 0.0
-
-    def test_needs_two_scales(self):
-        with pytest.raises(ValueError):
-            box_counting_dimension(np.array([0.0, 1.0]), np.array([0.0, 1.0]), [0.5])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            box_counting_dimension(np.array([]), np.array([]))
