@@ -217,30 +217,54 @@ def run_walk(
 # --- random baseline ---------------------------------------------------------
 
 _GAMMA = 0x9E3779B97F4A7C15
-
-
-def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+# Every operand of the generator is an np.uint64, and the per-batch offset is
+# reduced mod 2^64 in Python first: numpy 1.24's value-based promotion and
+# NEP 50 (numpy 2) then compute the same words, and no Python int >= 2^64
+# ever reaches numpy.
+_ROUNDS = (
+    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+)
+_TOP_TWO = np.uint64(62)
 
 
 class RandomSource:
-    """SplitMix64 stream of uniforms in [0, 1).
+    """SplitMix64 stream of step indices in 0..3.
 
-    The i-th output (i >= 1) mixes seed + i * GAMMA, so any block of the
-    sequence can be regenerated from (seed, index) alone; uniforms use the
-    top 53 bits.  Identical on every platform.
+    The i-th output z_i (i >= 1) mixes seed + i * GAMMA, so any block of the
+    sequence can be regenerated from (seed, index) alone.  Step i's index is
+    the top two bits of z_i, which equals floor(r_i / 0.25) for the uniform
+    r_i = (z_i >> 11) * 2^-53; no float is formed.  The mix's last round,
+    z ^ (z >> 31), leaves the top 31 bits as they are, so it is skipped.
+    Identical on every platform.
     """
 
     @staticmethod
-    def block_at(seed: int, start_index: int, n: int) -> np.ndarray:
-        idx = np.arange(start_index, start_index + n, dtype=np.uint64)
-        z = np.uint64(seed) + idx * np.uint64(_GAMMA)
-        return (_mix(z) >> np.uint64(11)) * (2.0 ** -53)
+    def workspace(size: int) -> np.ndarray:
+        """uint64 work rows for blocks of up to `size`: arange(size) * GAMMA, two scratch."""
+        work = np.empty((3, size), np.uint64)
+        np.multiply(np.arange(size, dtype=np.uint64), np.uint64(_GAMMA), out=work[0])
+        return work
+
+    @staticmethod
+    def block_at(seed: int, start_index: int, n: int, *, out: np.ndarray | None = None) -> np.ndarray:
+        """int64 step indices of outputs start_index, ..., start_index + n - 1.
+
+        `out` is a `workspace(m)` with m >= n, reused across blocks; the
+        indices are a view into it, valid until its next block.
+        """
+        if out is not None and out.shape[1] < n:
+            raise ValueError(f"workspace of {out.shape[1]} too small for a block of {n}")
+        base, z, t = (RandomSource.workspace(n) if out is None else out)[:, :n]
+        np.add(base, np.uint64((seed + start_index * _GAMMA) % (1 << 64)), out=z)
+        for shift, mult in _ROUNDS:
+            z ^= np.right_shift(z, shift, out=t)
+            z *= mult
+        z >>= _TOP_TWO
+        return z.view(np.int64)
 
 
-# floor(r / 0.25) = i moves as rule A1 moves on the digit WALK_DIGITS[i]
+# index i moves as rule A1 moves on the digit WALK_DIGITS[i]
 _RW_DIGITS = np.array(WALK_DIGITS, dtype=np.uint8)
 
 
@@ -254,17 +278,29 @@ def run_random_walk(
 ) -> WalkState:
     """Execute `steps` uniform four-direction moves from the seeded source.
 
-    Step i moves as rule A1 moves on digit WALK_DIGITS[floor(r_i / 0.25)]
-    for the i-th uniform r_i, so resuming from `state` continues the
-    generator at index state.steps_taken + 1 and replays the exact tail of
-    the uninterrupted sequence.  `seed` must lie in [0, 2^64).
+    Step i moves as rule A1 moves on digit WALK_DIGITS[k_i] for the i-th
+    step index k_i of `RandomSource` (floor(r_i / 0.25) of its uniform), so
+    resuming from `state` continues the generator at index
+    state.steps_taken + 1 and replays the exact tail of the uninterrupted
+    sequence.  `seed` must lie in [0, 2^64) and `batch_size` be at least 1;
+    a batch holding an index outside 0..3 raises ValueError.  The
+    generator's buffers are sized to the first batch, the largest, and
+    reused for every batch.
     """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} outside [0, 2^64)")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     session = WalkSession(A1, observers, state=state)
+    size = min(batch_size, max(steps - session.state.steps_taken, 0))
+    work, digits = RandomSource.workspace(size), np.empty(size, np.uint8)
     while (taken := session.state.steps_taken) < steps:
-        block = RandomSource.block_at(seed, taken + 1, min(batch_size, steps - taken))
-        if np.any((block < 0.0) | (block >= 1.0)):
-            raise ValueError("uniform source produced r outside [0, 1)")
-        session.step(_RW_DIGITS[(block / 0.25).astype(np.int64)])
+        n = min(batch_size, steps - taken)
+        index = RandomSource.block_at(seed, taken + 1, n, out=work)
+        # one reduction guards a replaced source (negatives view above 3);
+        # mode="raise" would copy `out` first
+        if index.view(np.uint64).max() > 3:
+            raise ValueError("random source produced a step index outside 0..3")
+        session.step(np.take(_RW_DIGITS, index, out=digits[:n], mode="wrap"))
+    del work, digits  # the observers finish without them
     return session.finish(steps)

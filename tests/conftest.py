@@ -86,6 +86,16 @@ class ScalarRandomSource:
         return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
 
+def uniform_block(seed: int, start: int, n: int) -> np.ndarray:
+    """The README's uniforms r_i = (z_i >> 11) * 2^-53 for i = start, ..., start + n - 1,
+    through the whole SplitMix64 mix; floor(r / 0.25) is each step's index."""
+    i = np.arange(n, dtype=np.uint64) + np.uint64(start % (1 << 64))
+    z = np.uint64(seed) + i * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * 2.0**-53
+
+
 def pearson_direction(r: float) -> Direction:
     """Uniform r in [0, 1) -> one of the four directions via floor(r / 0.25)."""
     if not 0.0 <= r < 1.0:

@@ -567,10 +567,10 @@ class TestOutputMemory:
                 lambda: write_outputs(cfg, analyzers, summary, tmp_path),
                 tiles * tile // 4,
             ),
-            # one uint8 chunk, one int32 tile being cast, the tile ids and 32 KB
+            # one uint8 chunk, the tile ids and 32 KB
             "save_checkpoint": (
                 lambda: save_checkpoint(cfg, analyzers, summary, tmp_path / "checkpoint.pwlk"),
-                grid._CHUNK_TILES * tile // 4 + tile + tiles * 8 + (32 << 10),
+                grid._CHUNK_TILES * tile // 4 + tiles * 8 + (32 << 10),
             ),
         }
         for name, (phase, budget) in phases.items():

@@ -30,6 +30,7 @@ from conftest import (
     StepObserver,
     pearson_direction,
     step,
+    uniform_block,
     walk_primes_oracle,
 )
 
@@ -270,23 +271,25 @@ class TestPearson:
             pearson_direction(-0.01)
 
     @staticmethod
-    def rig(monkeypatch, uniforms):
-        """Make the engine's generator return `uniforms` from index 1 on."""
-        rs = np.array(uniforms)
+    def rig(monkeypatch, indices):
+        """Make the engine's generator return step `indices` from index 1 on."""
+        ks = np.array(indices)
         monkeypatch.setattr(RandomSource, "block_at",
-                            staticmethod(lambda seed, i, n: rs[i - 1 : i - 1 + n]))
+                            staticmethod(lambda seed, i, n, out=None: ks[i - 1 : i - 1 + n]))
 
     def test_rigged_source_path(self, monkeypatch):
-        self.rig(monkeypatch, [0.0, 0.25, 0.5, 0.75])
+        self.rig(monkeypatch, [0, 1, 2, 3])
         rec = PathRecorder()
         summary = run_random_walk(4, seed=0, observers=[rec], batch_size=3)
         assert rec.path == [(0, -1), (0, 0), (1, 0), (0, 0)]
         assert (summary.x, summary.y) == (0, 0)
 
     def test_engine_rejects_out_of_range_uniform(self, monkeypatch):
-        self.rig(monkeypatch, [0.5, 1.0])
-        with pytest.raises(ValueError):
-            run_random_walk(2, seed=0)
+        """Index 4 is floor(1.0 / 0.25), the index of a uniform outside [0, 1)."""
+        for indices in ([2, 4], [2, -1]):
+            self.rig(monkeypatch, indices)
+            with pytest.raises(ValueError, match="step index outside 0..3"):
+                run_random_walk(2, seed=0)
 
     def test_zero_steps(self):
         summary = run_random_walk(0, seed=123)
@@ -297,17 +300,59 @@ class TestPearson:
         with pytest.raises(ValueError, match=f"seed {seed} "):
             run_random_walk(1000, seed)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_non_positive_batch_size_refused(self, batch_size):
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            run_random_walk(10, 1, batch_size=batch_size)
+
+
+SEED_EXTREMES = [0, 25, (1 << 64) - 1]
+# start * GAMMA passes 2^64 at every start but 1; the last block ends at index 2^64 - 1
+START_EXTREMES = [1, 50_000_001, 1 << 63, (1 << 64) - 65_537]
+
 
 class TestRandomSource:
     def test_reproducible(self):
         src = ScalarRandomSource(99)
-        a = [src.next_float() for _ in range(100)]
+        a = [int(src.next_float() / 0.25) for _ in range(100)]
         b = RandomSource.block_at(99, 1, 100).tolist()
         assert a == b
 
     def test_range(self):
-        block = RandomSource.block_at(7, 1, 10_000)
-        assert block.min() >= 0.0 and block.max() < 1.0
+        """Every index lies in 0..3 by construction, at the extreme seeds and starts."""
+        work = RandomSource.workspace(1 << 16)
+        for seed in SEED_EXTREMES:
+            for start in START_EXTREMES:
+                block = RandomSource.block_at(seed, start, 1 << 16, out=work)
+                assert block.dtype == np.int64 and 0 <= block.min() <= block.max() <= 3
+
+    def test_small_workspace_refused(self):
+        with pytest.raises(ValueError, match="workspace of 10 too small for a block of 11"):
+            RandomSource.block_at(0, 1, 11, out=RandomSource.workspace(10))
+
+    @pytest.mark.parametrize("start", START_EXTREMES)
+    @pytest.mark.parametrize("seed", SEED_EXTREMES)
+    def test_engine_digits_match_uniform_oracle(self, seed, start):
+        n, seen = 1 << 16, []
+        step = WalkSession.step
+
+        def record(session, digits, primes=None):
+            seen.append(digits.copy())
+            step(session, digits, primes)
+
+        with mock.patch.object(WalkSession, "step", record):
+            run_random_walk(start - 1 + n, seed, state=WalkState(steps_taken=start - 1))
+        index = np.floor(uniform_block(seed, start, n) / 0.25).astype(np.int64)
+        assert np.array_equal(np.concatenate(seen), np.array(WALK_DIGITS)[index])
+
+    @pytest.mark.parametrize("remaining", [63, 64, 150])
+    def test_resume_ends_on_direct_path(self, remaining):
+        """Remaining steps below, equal to and not a multiple of the batch size."""
+        direct, resumed = PathRecorder(), PathRecorder()
+        end = run_random_walk(100 + remaining, 9, [direct], batch_size=64)
+        mid = run_random_walk(100, 9, [resumed], batch_size=64)
+        assert run_random_walk(100 + remaining, 9, [resumed], batch_size=64, state=mid) == end
+        assert resumed.path == direct.path
 
     def test_equal_seeds_equal_trajectories(self):
         a, b = PathRecorder(), PathRecorder()
@@ -334,6 +379,7 @@ EDGE = 1 << 31
 class TestRangeGuard:
     """Every walk stays in the packable range [-2^31, 2^31) on both axes."""
 
+    # uniforms r, each rigged as the step index floor(r / 0.25)
     @pytest.mark.parametrize("r, start, last, axis, bad", [
         (0.0, (5, -EDGE + 2), (5, -EDGE), "y", -EDGE - 1),  # DOWN
         (0.25, (5, EDGE - 3), (5, EDGE - 1), "y", EDGE),  # UP
@@ -342,7 +388,7 @@ class TestRangeGuard:
     ])
     def test_walk_refuses_to_leave_range(self, monkeypatch, r, start, last, axis, bad):
         monkeypatch.setattr(RandomSource, "block_at",
-                            staticmethod(lambda seed, i, n: np.full(n, r)))
+                            staticmethod(lambda seed, i, n, out=None: np.full(n, int(r / 0.25))))
         origin = WalkState(*start)
         rec, grid = PathRecorder(), GridObserver()
         edge = run_random_walk(2, 0, [rec, grid], state=origin)
