@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib import format as npy
 
 MAGIC = b"PWLK"
-VERSION = 5
+VERSION = 6
 _HEAD = struct.Struct("<4sI32sQI")
 _CHUNK = 1 << 20
 
@@ -98,7 +98,8 @@ def _write_npz(fh, arrays: dict) -> None:
 
 
 def write_checkpoint(path, config_hash: bytes, sections: dict) -> None:
-    """Write atomically: stream into a file beside `path`, then rename it."""
+    """Write atomically: stream into a file beside `path`, sync it to disk,
+    then rename it, so a crash leaves the old file or the whole new one."""
     if len(config_hash) != 32:
         raise ValueError("config hash must be 32 bytes")
     flat = {f"{s}/{k}": v for s, fields in sections.items() for k, v in fields.items()}
@@ -112,6 +113,8 @@ def write_checkpoint(path, config_hash: bytes, sections: dict) -> None:
             crc = _crc(fh, length)
             fh.seek(0)
             fh.write(_HEAD.pack(MAGIC, VERSION, config_hash, length, crc))
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         # missing_ok: when the open itself failed, there is nothing to remove

@@ -84,6 +84,8 @@ class RunConfig:
         bad = set(self.analyses) - set(ALL_ANALYSES)
         if bad:
             raise UsageError(f"unknown analyses: {sorted(bad)}")
+        if self.rule == "rw" and set(self.analyses) == {"runs"}:
+            raise UsageError("--rule rw has no digit runs: 'runs' needs a prime rule")
         if self.export_visits and not GRID_ANALYSES & set(self.analyses):
             raise UsageError(f"--export-visits needs one of {sorted(GRID_ANALYSES)} in --analyses")
 

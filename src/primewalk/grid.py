@@ -1,9 +1,10 @@
 """Sparse visit-count field, covered-area series and recurrence reporting.
 
 The visit map stores z(x, y), the number of arrivals at each lattice cell,
-in dense tiles located by a sorted tile index; cells are keyed by the walk
-engine's packed 64-bit (x, y) (see `walk.pack_xy`), which is also the
-position format `GridObserver` receives, and listed in packed-key order.
+in dense tiles located by a sorted tile index; cells, and tiles by their
+first cell, are keyed by the walk engine's packed 64-bit (x, y) (see
+`walk.pack_xy`), which is also the position format `GridObserver`
+receives, and listed in packed-key order.
 The origin is part of the covered area from step zero even when no step
 ever returns to it, so `area` can exceed the number of stored cells by one.
 """
@@ -17,23 +18,15 @@ import numpy as np
 
 from .benford import leading_digits
 from .checkpoint import ChunkedArray
-from .walk import _OFFSET, WalkObserver, pack_xy, unpack_key
+from .walk import WalkObserver, pack_xy, unpack_key, unpack_keys
 
 _SIDE = 64  # tile edge; the tile of packed (X, Y) is (X >> 6, Y >> 6)
 _TILE = _SIDE * _SIDE
 _CHUNK_TILES = 256  # tiles per chunk when the finished map is read: 1M cells, 4 MB
-_AXIS_TILE = _OFFSET // _SIDE  # tile column (row) whose first cells have x = 0 (y = 0)
-_ROW_MASK = (1 << 26) - 1
-_TILE_MASK = np.uint64(0xFFFFFFC0_FFFFFFC0)  # clears X & 63, Y & 63: one value per tile
+# clears X & 63, Y & 63: a key's tile id, the packed key of its tile's first cell
+_TILE_MASK = np.uint64(0xFFFFFFC0_FFFFFFC0)
 _COUNT_MAX = np.iinfo(np.int32).max
-_HIST_MAX = 1 << 16  # largest z_max whose Benford counts come from a value histogram
 _VISITS_MAX_CELLS = 50_000_000  # largest map that write_visits_csv dumps
-
-
-def _tile_ids(keys: np.ndarray) -> np.ndarray:
-    return ((keys >> np.uint64(38)) << np.uint64(26)) | (
-        (keys >> np.uint64(6)) & np.uint64(_ROW_MASK)
-    )
 
 
 def _narrowest(z_max: int) -> np.dtype:
@@ -58,10 +51,10 @@ class VisitMap:
     holds the largest count (4, 8 or 16 KB a tile), the dtype a checkpoint
     stores too; a batch that would pass that dtype's maximum widens the
     store first, once for each dtype it outgrows.  A sorted index of tile
-    ids, (X >> 6) << 26 | (Y >> 6) over the packed X and Y, maps each
-    visited tile to its row in the store, so a batch costs O(batch + tiles
-    it touches) whatever the size of the map, and memory grows with the
-    visited tiles rather than with the bounding box.
+    ids, the packed key of each tile's first cell (key & _TILE_MASK), maps
+    each visited tile to its row in the store, so a batch costs
+    O(batch + tiles it touches) whatever the size of the map, and memory
+    grows with the visited tiles rather than with the bounding box.
     """
 
     def __init__(self):
@@ -86,16 +79,12 @@ class VisitMap:
         return self._cells + (0 if self.count_at(0, 0) else 1)
 
     def count_at(self, x: int, y: int) -> int:
-        return int(self._lookup(np.array([pack_xy(x, y)], dtype=np.uint64))[0])
-
-    def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Current counts of `keys` (0 where the tile was never visited)."""
-        if len(self._ids) == 0:
-            return np.zeros(len(keys), dtype=np.int64)
-        tids = _tile_ids(keys)
-        pos = np.minimum(np.searchsorted(self._ids, tids), len(self._ids) - 1)
-        counts = self._store[self._slot[pos], _tile_offsets(keys)]
-        return np.where(self._ids[pos] == tids, counts, 0).astype(np.int64)
+        key = np.array([pack_xy(x, y)], dtype=np.uint64)
+        tile = key[0] & _TILE_MASK
+        pos = int(np.searchsorted(self._ids, tile))
+        if pos == len(self._ids) or self._ids[pos] != tile:
+            return 0
+        return int(self._store[self._slot[pos], _tile_offsets(key)[0]])
 
     def _flat_index(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The batch's distinct tile ids, and each key's index (in scratch)
@@ -106,7 +95,7 @@ class VisitMap:
         np.bitwise_and(keys, _TILE_MASK, out=tiles)
         # a walk stays in one tile for many steps: look up runs, not steps
         starts = np.flatnonzero(np.concatenate(([True], tiles[1:] != tiles[:-1])))
-        uniq, run_of = np.unique(_tile_ids(keys[starts]), return_inverse=True)
+        uniq, run_of = np.unique(tiles[starts], return_inverse=True)
         lengths = np.diff(np.append(starts, len(keys)))
         # the runs are found, so tiles is free: the offsets' temporary
         flat = _tile_offsets(keys, out=flat.view(np.int64), tmp=tiles.view(np.int64))
@@ -177,33 +166,34 @@ class VisitMap:
     def leading_digit_counts(self) -> np.ndarray:
         """How many occupied cells have a visit count of leading digit 1, ..., 9.
 
-        Up to a z_max of _HIST_MAX a histogram of the counts, which needs no
-        tile order and so is read from the store itself, is grouped by the
-        leading digits of 1..z_max; above it each count is divided down.
+        The store's dtype picks the path.  The counts of a uint8 or uint16
+        store are tallied in a histogram of values, which needs no tile
+        order and so is read from the store itself, and grouped by the
+        leading digits of the values; an int32 store's counts are divided
+        down a chunk at a time.
         """
-        used = self._store[: len(self._ids)].reshape(-1)
-        z_max = int(used.max(initial=0))
         counts = np.zeros(10, dtype=np.int64)
-        if z_max > _HIST_MAX:
+        if self._store.dtype == np.int32:
             for _, tiles in self._chunks():
                 counts += np.bincount(leading_digits(tiles[tiles > 0]), minlength=10)
             return counts[1:]
-        hist = np.zeros(z_max + 1, dtype=np.int64)
+        used = self._store[: len(self._ids)].reshape(-1)
+        hist = np.zeros(np.iinfo(self._store.dtype).max + 1, dtype=np.int64)
         step = _CHUNK_TILES * _TILE // 64  # bincount widens to int64: 128 KB at a time
         for a in range(0, len(used), step):
-            hist += np.bincount(used[a : a + step], minlength=z_max + 1)
-        np.add.at(counts, leading_digits(np.arange(1, z_max + 1)), hist[1:])
+            part = np.bincount(used[a : a + step])
+            hist[: len(part)] += part
+        np.add.at(counts, leading_digits(np.arange(1, len(hist))), hist[1:])
         return counts[1:]
 
     def _cell_chunks(self):
         """(keys, counts) of the occupied cells in packed-key order, read from
         about _CHUNK_TILES tiles' worth of cells at a time."""
-        cols = self._ids >> np.uint64(26)
+        cols = self._ids >> np.uint64(32)
         bounds = np.flatnonzero(np.diff(cols)) + 1
         edges = [0, *bounds.tolist(), len(cols)] if len(cols) else []
         for a, b in zip(edges, edges[1:]):
-            slots = self._slot[a:b]
-            rows = (self._ids[a:b] & np.uint64(_ROW_MASK)) << np.uint64(6)
+            ids, slots = self._ids[a:b], self._slot[a:b]
             band = max(1, _CHUNK_TILES * _SIDE // (b - a))  # lx values per read
             for x0 in range(0, _SIDE, band):
                 # (tile, lx, ly) -> (lx, tile, ly): packed-key order in the column
@@ -212,9 +202,8 @@ class VisitMap:
                 nz = np.flatnonzero(block)
                 lx, rest = np.divmod(nz, (b - a) * _SIDE)
                 tile, ly = np.divmod(rest, _SIDE)
-                x = (cols[a] << np.uint64(6)) + (lx + x0).astype(np.uint64)
-                y = rows[tile] + ly.astype(np.uint64)
-                yield (x << np.uint64(32)) | y, block[nz].astype(np.int64)
+                lx = (lx + x0).astype(np.uint64) << np.uint64(32)
+                yield ids[tile] + lx + ly.astype(np.uint64), block[nz].astype(np.int64)
 
     def items(self):
         """Yield (x, y, count) in packed-key order."""
@@ -247,8 +236,8 @@ class VisitMap:
         ids, tiles = np.asarray(state["tile_ids"]), np.asarray(state["tiles"])
         if ids.dtype != np.uint64 or ids.ndim != 1:
             raise ValueError(f"tile ids must be a uint64 vector, got {ids.dtype} {ids.shape}")
-        if np.any(ids[1:] <= ids[:-1]) or np.any(ids >= 1 << 52):
-            raise ValueError("tile ids must be strictly increasing and below 2^52")
+        if np.any(ids[1:] <= ids[:-1]) or np.any(ids & ~_TILE_MASK):
+            raise ValueError("tile ids must be strictly increasing first-cell keys of tiles")
         if tiles.shape != (len(ids), _TILE) or tiles.dtype.kind not in "iu":
             raise ValueError(f"tiles are {tiles.dtype} {tiles.shape}, not ({len(ids)}, {_TILE})")
         z_max = int(tiles.max(initial=0))
@@ -328,10 +317,11 @@ class RecurrenceReport:
     distinct_count: int
 
 
-def _col_row(tile_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int64 (X >> 6, Y >> 6) of tile ids."""
-    cols = (tile_ids >> np.uint64(26)).astype(np.int64)
-    return cols, (tile_ids & np.uint64(_ROW_MASK)).astype(np.int64)
+def _cell_xy(ids: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int64 (xs, ys) of the cells at positions `flat` of tiles `ids` laid one after another."""
+    tile, cell = np.divmod(flat, _TILE)
+    xs, ys = unpack_keys(ids[tile])
+    return xs + cell // _SIDE, ys + cell % _SIDE
 
 
 def _argmax(vmap: VisitMap) -> tuple[int, int, int]:
@@ -341,9 +331,7 @@ def _argmax(vmap: VisitMap) -> tuple[int, int, int]:
         top = int(tiles.max())
         if top < zmax:
             continue
-        tile, cell = np.divmod(np.flatnonzero(tiles == top), _TILE)
-        cols, rows = _col_row(ids[tile])
-        xs, ys = cols * _SIDE + cell // _SIDE - _OFFSET, rows * _SIDE + cell % _SIDE - _OFFSET
+        xs, ys = _cell_xy(ids, np.flatnonzero(tiles == top))
         # x^2 + y^2 <= 2^63 is exact in uint64, not in int64
         d2 = np.square(np.abs(xs).astype(np.uint64)) + np.square(np.abs(ys).astype(np.uint64))
         i = np.lexsort((ys, xs, d2))[0]
@@ -355,23 +343,16 @@ def _argmax(vmap: VisitMap) -> tuple[int, int, int]:
 
 def _sign_tally(vmap: VisitMap) -> np.ndarray:
     """Occupied cells by the signs of (x, y), at [sign(x) + 1, sign(y) + 1]."""
-    tally = np.zeros((3, 3), dtype=np.int64)
-    cols, rows = _col_row(vmap._ids)
-    sx, sy = np.sign(cols - _AXIS_TILE), np.sign(rows - _AXIS_TILE)
-    inside = (sx != 0) & (sy != 0)  # a tile off both axes lies in one quadrant
-    np.add.at(tally, (sx[inside] + 1, sy[inside] + 1), vmap._occupied[vmap._slot[inside]])
-    # in an axis tile, local column (row) 0 has x = 0 (y = 0) and the rest x > 0 (y > 0)
-    parts = ((slice(0, 1), 0), (slice(1, None), 1))
+    tally = np.zeros(9, dtype=np.int64)
+    x0, y0 = unpack_keys(vmap._ids)
+    # the first cell of a tile has x, y in 64Z: only x0 = 0 (y0 = 0) spans both signs
+    inside = (x0 != 0) & (y0 != 0)  # a tile off both axes lies in one quadrant
+    where = 3 * np.sign(x0[inside]) + np.sign(y0[inside]) + 4
+    np.add.at(tally, where, vmap._occupied[vmap._slot[inside]])
     for ids, tiles in vmap._chunks(np.flatnonzero(~inside)):
-        occupied = tiles.reshape(-1, _SIDE, _SIDE) != 0
-        cols, rows = _col_row(ids)
-        tx, ty = np.sign(cols - _AXIS_TILE), np.sign(rows - _AXIS_TILE)
-        for lx, x_sign in parts:
-            px = np.where(tx == 0, x_sign, tx) + 1
-            for ly, y_sign in parts:
-                py = np.where(ty == 0, y_sign, ty) + 1
-                np.add.at(tally, (px, py), np.count_nonzero(occupied[:, lx, ly], axis=(1, 2)))
-    return tally
+        xs, ys = _cell_xy(ids, np.flatnonzero(tiles))
+        tally += np.bincount(3 * np.sign(xs) + np.sign(ys) + 4, minlength=9)
+    return tally.reshape(3, 3)
 
 
 def recurrence_report(vmap: VisitMap) -> RecurrenceReport:

@@ -9,7 +9,7 @@ downstream consumer sees the same stream.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -58,25 +58,10 @@ def _walk_flags(lo: int, hi: int, base: np.ndarray, buf: np.ndarray) -> tuple[in
     return first_odd, flags
 
 
-def _walk_primes_in(lo: int, hi: int, base: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Walk primes (last digit 1/3/7/9) in [lo, hi), ascending, in a new array."""
-    first_odd, flags = _walk_flags(lo, hi, base, buf)
-    primes = np.flatnonzero(flags)  # int64 indices, mapped to odd N in place
-    return np.add(np.multiply(primes, 2, out=primes), first_odd, out=primes)
-
-
-def _count_walk_primes_in(lo: int, hi: int, base: np.ndarray, buf: np.ndarray) -> int:
-    return int(np.count_nonzero(_walk_flags(lo, hi, base, buf)[1]))
-
-
-def _per_segment(
-    fn: Callable[[int, int, np.ndarray, np.ndarray], object],
-    limit: int,
-    start: int,
-    segment_flags: int,
-) -> Iterator:
-    """fn(lo, hi, base, buf) for each segment [lo, hi) of [start, limit], in
-    order; every call sieves into the same flag buffer `buf`."""
+def _segments(limit: int, start: int, segment_flags: int) -> Iterator[tuple[int, np.ndarray]]:
+    """_walk_flags of each segment [lo, hi) of [start, limit], in order;
+    every segment is sieved into one flag buffer, so its flags are valid
+    until the next segment is taken."""
     if segment_flags < 1:
         raise ValueError(f"segment_flags must be >= 1, got {segment_flags}")
     if limit < 2 or limit < start:
@@ -85,7 +70,7 @@ def _per_segment(
     buf = np.empty(min(segment_flags, limit // 2 + 1), dtype=bool)
     span = 2 * segment_flags
     for lo in range(max(start, 2), limit + 1, span):
-        yield fn(lo, min(lo + span, limit + 1), base, buf)
+        yield _walk_flags(lo, min(lo + span, limit + 1), base, buf)
 
 
 def iter_walk_prime_arrays(
@@ -98,9 +83,10 @@ def iter_walk_prime_arrays(
 
     Segmentation never changes the concatenated sequence.
     """
-    for arr in _per_segment(_walk_primes_in, limit, start, segment_flags):
-        if len(arr):
-            yield arr
+    for first_odd, flags in _segments(limit, start, segment_flags):
+        primes = np.flatnonzero(flags)  # int64 indices, mapped to odd N in place
+        if len(primes):
+            yield np.add(np.multiply(primes, 2, out=primes), first_odd, out=primes)
 
 
 def count_walk_primes(
@@ -110,4 +96,5 @@ def count_walk_primes(
     segment_flags: int = DEFAULT_SEGMENT_FLAGS,
 ) -> int:
     """Number of primes in [start, limit] with terminal digit in {1, 3, 7, 9}."""
-    return sum(_per_segment(_count_walk_primes_in, limit, start, segment_flags))
+    segments = _segments(limit, start, segment_flags)
+    return sum(int(np.count_nonzero(flags)) for _, flags in segments)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import struct
 import tracemalloc
 from pathlib import Path
@@ -304,6 +305,17 @@ class TestWalkCommand:
         assert "--export-visits" in capsys.readouterr().err
         assert not ran and not out.exists()
 
+    def test_rw_with_only_runs_refused(self, tmp_path, capsys):
+        # the baseline has no digits, so no digit runs: nothing would be measured
+        out = tmp_path / "rw"
+        args = ("walk", "--rule", "rw", "--limit", "1000", "--analyses", "runs")
+        assert run_cli(*args, "--out", out) == EXIT_USAGE
+        assert "'runs'" in capsys.readouterr().err
+        assert not out.exists()
+        # the default analysis list still runs, and skips runs
+        assert run_cli("walk", "--rule", "rw", "--limit", "1000", "--out", out) == EXIT_OK
+        assert (out / "summary.txt").exists() and not (out / "runs.csv").exists()
+
 
 class TestResume:
     def test_resume_equals_direct(self, tmp_path):
@@ -370,8 +382,8 @@ class TestResume:
         run_cli("walk", "--limit", "50000", "--out", out)
         ckpt = out / "checkpoint.pwlk"
         good = ckpt.read_bytes()
-        # a flipped payload byte, then an intact file stamped VERSION 1, 2, 3 or 4
-        stamps = [(4, struct.pack("<I", v)) for v in (1, 2, 3, 4)]
+        # a flipped payload byte, then an intact file stamped VERSION 1, 2, 3, 4 or 5
+        stamps = [(4, struct.pack("<I", v)) for v in (1, 2, 3, 4, 5)]
         for at, patch in [(60, bytes([good[60] ^ 0xFF])), *stamps]:
             blob = bytearray(good)
             blob[at : at + len(patch)] = patch
@@ -380,7 +392,7 @@ class TestResume:
                 run_cli("resume", ckpt, "--limit", "100000", "--out", tmp_path / "x")
                 == EXIT_CHECKPOINT
             )
-        assert "unsupported checkpoint version 4" in capsys.readouterr().err
+        assert "unsupported checkpoint version 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section", ["config", "walk", "grid", "runs", "polar", "polar/counts"]
@@ -406,6 +418,7 @@ class TestResume:
         [
             ("grid", "map_tile_ids", lambda a: np.concatenate((a[:1], a[:-1]))),
             ("grid", "map_tile_ids", lambda a: a[::-1].copy()),
+            ("grid", "map_tile_ids", lambda a: a | (np.arange(len(a)) == 1).astype(np.uint64)),
             ("grid", "map_tiles", lambda a: a[:-1]),
             ("grid", "map_tiles", lambda a: _first_count(a, 1 << 31, np.int64)),
             ("grid", "map_tiles", lambda a: _first_count(a, -1)),
@@ -430,7 +443,8 @@ class TestResume:
             ("walk", "x", lambda a: a + 0.25),
             ("grid", "series_n", lambda a: a + 0.5),
         ],
-        ids=["duplicate-tile-id", "unsorted-tile-ids", "tiles-row-short", "count-past-int32",
+        ids=["duplicate-tile-id", "unsorted-tile-ids", "tile-id-not-first-cell",
+             "tiles-row-short", "count-past-int32",
              "negative-count", "tiles-past-walk-steps", "series-short", "lengths-short",
              "50-bins", "config-json-not-bytes", "config-json-list", "config-unknown-field",
              "config-bad-rule", "config-factor-not-number", "polar-negative-counts",
@@ -466,6 +480,26 @@ class TestResume:
 
 
 class TestCheckpointFormat:
+    def test_synced_before_rename(self, tmp_path, monkeypatch):
+        # a crash after the rename must find the whole file on disk, not an empty one
+        calls, real_fsync, real_replace = [], os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("replace", os.stat(src).st_ino))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = tmp_path / "c.pwlk"
+        write_checkpoint(path, b"\x00" * 32, {"s": {"v": np.arange(10)}})
+        ino = path.stat().st_ino
+        assert calls == [("fsync", ino), ("replace", ino)]
+        assert read_checkpoint(path)[1]["s"]["v"].tolist() == list(range(10))
+
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "c.pwlk"
         sections = {
@@ -541,7 +575,7 @@ class TestCheckpointFormat:
         path = tmp_path / "c.pwlk"
         write_checkpoint(path, b"\x00" * 32, {"s": {"v": 1}})
         blob = bytearray(path.read_bytes())
-        assert blob[:4] == b"PWLK" and blob[4:8] == struct.pack("<I", 5)
+        assert blob[:4] == b"PWLK" and blob[4:8] == struct.pack("<I", 6)
         blob[48] ^= 0x01  # the first byte of the payload CRC, after the length
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="integrity check failed"):

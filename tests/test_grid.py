@@ -257,18 +257,30 @@ class TestTilePaths:
             if oracle.total_visits:
                 assert recurrence_report(m) == recurrence_oracle(oracle)
             assert_same_map(m, oracle)  # digit counts, cells and items() included
-            # the histogram up to a z_max of cap, the divided values above it
-            for cap in (0, 1, 2):
-                with mock.patch.object(grid, "_HIST_MAX", cap):
-                    assert m.leading_digit_counts().tolist() == digit_counts(z_values(oracle))
+
+    @given(**{**GROWN_MAPS, "chunk": st.sampled_from([1, 2, 3])})
+    @settings(max_examples=30, deadline=None)
+    def test_int32_digit_counts(self, first, later, mirror, chunk):
+        # one cell hit 65,536 times widens the store to int32: counts are divided down
+        m, oracle = _grown_map(first, later, mirror)
+        hot = np.full(65_536, pack_xy(5, -3), dtype=np.uint64)
+        m.record_keys(hot)
+        oracle.record_keys(hot)
+        assert m._store.dtype == np.int32
+        with mock.patch.object(grid, "_CHUNK_TILES", chunk):
+            assert m.leading_digit_counts().tolist() == digit_counts(z_values(oracle))
 
     def test_ties_at_the_range_ends(self):
         # x^2 + y^2 = 2^63 passes int64: the far corner must not win the tie
-        m = VisitMap()
-        m.record_keys(_keys([(-(1 << 31), -(1 << 31)), (TOP, TOP), (TOP, -(1 << 31))]))
+        m, oracle = VisitMap(), SortedVisitMap()
+        low = -(1 << 31)
+        corners = _keys([(low, low), (TOP, TOP), (TOP, low), (low, TOP)])
+        m.record_keys(corners)
+        oracle.record_keys(corners)
         rep = recurrence_report(m)
         assert (rep.argmax_x, rep.argmax_y) == (TOP, TOP)
         assert rep == recurrence_oracle(m)
+        assert_same_map(m, oracle)  # the cells' keys at the four corners of the range
 
     def test_axis_tiles(self):
         m = VisitMap()
