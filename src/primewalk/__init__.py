@@ -5,7 +5,7 @@ from .fitting import FitResult, fit_area_growth, linear_fit
 from .grid import AreaSeries, GridObserver, VisitMap, recurrence_report
 from .polar import PolarObserver, delta_phi_histogram
 from .primes import base_primes, count_walk_primes, iter_walk_prime_arrays
-from .runs import RunHistogram, short_run_fraction
+from .runs import short_run_fraction
 from .walk import (
     RULES,
     A1,
@@ -31,7 +31,6 @@ __all__ = [
     "PolarObserver",
     "RULES",
     "RandomSource",
-    "RunHistogram",
     "VisitMap",
     "WalkObserver",
     "WalkRule",

@@ -16,7 +16,6 @@ import numpy as np
 from . import benford, fitting, grid, polar, runs
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .primes import count_walk_primes
-from .runs import short_run_fraction
 from .walk import RULES, WalkState, pack_xy, run_random_walk, run_walk
 
 EXIT_OK = 0
@@ -77,8 +76,10 @@ class RunConfig:
 
     def __post_init__(self):
         self.analyses = tuple(self.analyses)
-        if not 0 <= self.seed < 1 << 64:
-            raise UsageError(f"--seed must lie in [0, 2^64), got {self.seed}")
+        # a checkpoint's config JSON can hold any number: a float or a bool
+        # would reach the generator as a different offset
+        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:
+            raise UsageError(f"--seed must be an integer in [0, 2^64), got {self.seed!r}")
         if self.rule not in (*RULES, "rw"):
             raise UsageError(f"unknown rule {self.rule!r}")
         bad = set(self.analyses) - set(ALL_ANALYSES)
@@ -172,10 +173,10 @@ def write_outputs(cfg: RunConfig, analyzers: dict, summary, out_dir: Path):
 
     r = analyzers.get("runs")
     if r is not None:
-        hist = r.finalized_histogram()
-        hist.write_csv(out_dir / "runs.csv")
-        if hist.total_runs:
-            lines.append(("short_run_fraction", f"{short_run_fraction(hist):.6f}"))
+        counts = r.finalized_counts()
+        runs.write_runs_csv(counts, out_dir / "runs.csv")
+        if counts:
+            lines.append(("short_run_fraction", f"{runs.short_run_fraction(counts):.6f}"))
 
     p = analyzers.get("polar")
     if p is not None:

@@ -14,7 +14,7 @@ from typing import Iterator
 import numpy as np
 
 # Odd-number flags per segment; one segment then spans twice as many integers.
-DEFAULT_SEGMENT_FLAGS = 1 << 20
+SEGMENT_FLAGS = 1 << 20
 
 WALK_DIGITS = (1, 3, 7, 9)
 
@@ -58,43 +58,27 @@ def _walk_flags(lo: int, hi: int, base: np.ndarray, buf: np.ndarray) -> tuple[in
     return first_odd, flags
 
 
-def _segments(limit: int, start: int, segment_flags: int) -> Iterator[tuple[int, np.ndarray]]:
+def _segments(limit: int, start: int) -> Iterator[tuple[int, np.ndarray]]:
     """_walk_flags of each segment [lo, hi) of [start, limit], in order;
     every segment is sieved into one flag buffer, so its flags are valid
     until the next segment is taken."""
-    if segment_flags < 1:
-        raise ValueError(f"segment_flags must be >= 1, got {segment_flags}")
     if limit < 2 or limit < start:
         return
     base = base_primes(math.isqrt(limit))
-    buf = np.empty(min(segment_flags, limit // 2 + 1), dtype=bool)
-    span = 2 * segment_flags
+    buf = np.empty(min(SEGMENT_FLAGS, limit // 2 + 1), dtype=bool)
+    span = 2 * SEGMENT_FLAGS
     for lo in range(max(start, 2), limit + 1, span):
         yield _walk_flags(lo, min(lo + span, limit + 1), base, buf)
 
 
-def iter_walk_prime_arrays(
-    limit: int,
-    *,
-    start: int = 2,
-    segment_flags: int = DEFAULT_SEGMENT_FLAGS,
-) -> Iterator[np.ndarray]:
-    """Yield ascending arrays of walk primes in [start, limit].
-
-    Segmentation never changes the concatenated sequence.
-    """
-    for first_odd, flags in _segments(limit, start, segment_flags):
+def iter_walk_prime_arrays(limit: int, *, start: int = 2) -> Iterator[np.ndarray]:
+    """Yield ascending arrays of walk primes in [start, limit], one per segment holding any."""
+    for first_odd, flags in _segments(limit, start):
         primes = np.flatnonzero(flags)  # int64 indices, mapped to odd N in place
         if len(primes):
             yield np.add(np.multiply(primes, 2, out=primes), first_odd, out=primes)
 
 
-def count_walk_primes(
-    limit: int,
-    *,
-    start: int = 2,
-    segment_flags: int = DEFAULT_SEGMENT_FLAGS,
-) -> int:
+def count_walk_primes(limit: int, *, start: int = 2) -> int:
     """Number of primes in [start, limit] with terminal digit in {1, 3, 7, 9}."""
-    segments = _segments(limit, start, segment_flags)
-    return sum(int(np.count_nonzero(flags)) for _, flags in segments)
+    return sum(int(np.count_nonzero(flags)) for _, flags in _segments(limit, start))

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .primes import DEFAULT_SEGMENT_FLAGS, WALK_DIGITS, iter_walk_prime_arrays
+from .primes import WALK_DIGITS, iter_walk_prime_arrays
 
 
 class Direction(Enum):
@@ -203,13 +203,12 @@ def run_walk(
     rule: WalkRule,
     observers: Sequence[WalkObserver] = (),
     *,
-    segment_flags: int = DEFAULT_SEGMENT_FLAGS,
     state: WalkState | None = None,
 ) -> WalkState:
     """Walk every prime in (state.last_n, limit]; returns the final state."""
     session = WalkSession(rule, observers, state=state)
     start = session.state.last_n + 1
-    for batch in iter_walk_prime_arrays(limit, start=start, segment_flags=segment_flags):
+    for batch in iter_walk_prime_arrays(limit, start=start):
         session.feed(batch)
     return session.finish(max(limit, 0))
 
@@ -247,15 +246,15 @@ class RandomSource:
         return work
 
     @staticmethod
-    def block_at(seed: int, start_index: int, n: int, *, out: np.ndarray | None = None) -> np.ndarray:
+    def block_at(seed: int, start_index: int, n: int, *, out: np.ndarray) -> np.ndarray:
         """int64 step indices of outputs start_index, ..., start_index + n - 1.
 
         `out` is a `workspace(m)` with m >= n, reused across blocks; the
         indices are a view into it, valid until its next block.
         """
-        if out is not None and out.shape[1] < n:
+        if out.shape[1] < n:
             raise ValueError(f"workspace of {out.shape[1]} too small for a block of {n}")
-        base, z, t = (RandomSource.workspace(n) if out is None else out)[:, :n]
+        base, z, t = out[:, :n]
         np.add(base, np.uint64((seed + start_index * _GAMMA) % (1 << 64)), out=z)
         for shift, mult in _ROUNDS:
             z ^= np.right_shift(z, shift, out=t)
@@ -266,6 +265,7 @@ class RandomSource:
 
 # index i moves as rule A1 moves on the digit WALK_DIGITS[i]
 _RW_DIGITS = np.array(WALK_DIGITS, dtype=np.uint8)
+_RW_BATCH = 1 << 16
 
 
 def run_random_walk(
@@ -273,7 +273,6 @@ def run_random_walk(
     seed: int,
     observers: Sequence[WalkObserver] = (),
     *,
-    batch_size: int = 1 << 16,
     state: WalkState | None = None,
 ) -> WalkState:
     """Execute `steps` uniform four-direction moves from the seeded source.
@@ -282,20 +281,17 @@ def run_random_walk(
     step index k_i of `RandomSource` (floor(r_i / 0.25) of its uniform), so
     resuming from `state` continues the generator at index
     state.steps_taken + 1 and replays the exact tail of the uninterrupted
-    sequence.  `seed` must lie in [0, 2^64) and `batch_size` be at least 1;
-    a batch holding an index outside 0..3 raises ValueError.  The
-    generator's buffers are sized to the first batch, the largest, and
-    reused for every batch.
+    sequence.  `seed` must lie in [0, 2^64); a batch holding an index
+    outside 0..3 raises ValueError.  The generator's buffers are sized to
+    the first batch, the largest, and reused for every batch.
     """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} outside [0, 2^64)")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     session = WalkSession(A1, observers, state=state)
-    size = min(batch_size, max(steps - session.state.steps_taken, 0))
+    size = min(_RW_BATCH, max(steps - session.state.steps_taken, 0))
     work, digits = RandomSource.workspace(size), np.empty(size, np.uint8)
     while (taken := session.state.steps_taken) < steps:
-        n = min(batch_size, steps - taken)
+        n = min(_RW_BATCH, steps - taken)
         index = RandomSource.block_at(seed, taken + 1, n, out=work)
         # one reduction guards a replaced source (negatives view above 3);
         # mode="raise" would copy `out` first

@@ -1,16 +1,18 @@
 """Shared oracles: scalar, one-step-at-a-time versions of the vectorized code."""
 
 import math
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 
+from primewalk import primes, walk
 from primewalk.benford import BENFORD_EXPECTED, BenfordTable
 from primewalk.grid import RecurrenceReport
-from primewalk.polar import wrap_angle
-from primewalk.primes import DEFAULT_SEGMENT_FLAGS, WALK_DIGITS, iter_walk_prime_arrays
-from primewalk.runs import RunHistogram, RunLengthObserver
+from primewalk.primes import WALK_DIGITS, iter_walk_prime_arrays
+from primewalk.runs import RunLengthObserver
 from primewalk.walk import (
     A1,
     Direction,
@@ -42,9 +44,33 @@ class PrimeDigitEvent(NamedTuple):
     digit: int
 
 
-def iter_events(limit, *, segment_flags=DEFAULT_SEGMENT_FLAGS):
+@contextmanager
+def sieve_segments(flags: int):
+    """Within the `with` block the sieve's segments hold `flags` odd numbers;
+    yields a spy whose `call_count` is the number of segments sieved.
+
+    `_segments` is a generator that reads the size on its first `next()`,
+    so a stream must be consumed inside the block.  Plain patches, not the
+    function-scoped `monkeypatch` fixture, so hypothesis tests can use it.
+    """
+    with mock.patch.object(primes, "SEGMENT_FLAGS", flags), \
+            mock.patch.object(primes, "_walk_flags", wraps=primes._walk_flags) as spy:
+        yield spy
+
+
+@contextmanager
+def rw_batches(n: int):
+    """Within the `with` block `run_random_walk` takes batches of `n` steps;
+    yields a spy on `RandomSource.block_at`, called once per batch."""
+    source = walk.RandomSource
+    with mock.patch.object(walk, "_RW_BATCH", n), \
+            mock.patch.object(source, "block_at", wraps=source.block_at) as spy:
+        yield spy
+
+
+def iter_events(limit):
     """The engine's prime stream, one (prime, digit) event at a time."""
-    for arr in iter_walk_prime_arrays(limit, segment_flags=segment_flags):
+    for arr in iter_walk_prime_arrays(limit):
         for p in arr.tolist():
             yield PrimeDigitEvent(prime=p, digit=p % 10)
 
@@ -260,11 +286,11 @@ class ScalarRuns:
         return self.counts
 
 
-def walk_run_histogram(limit: int, **kwargs) -> RunHistogram:
-    """Run-length histogram of the walk primes up to `limit`, as the CLI builds it."""
+def walk_run_counts(limit: int) -> dict:
+    """Run-length counts of the walk primes up to `limit`, as the CLI builds them."""
     obs = RunLengthObserver()
-    run_walk(limit, A1, [obs], **kwargs)
-    return obs.finalized_histogram()
+    run_walk(limit, A1, [obs])
+    return obs.finalized_counts()
 
 
 class PathRecorder(WalkObserver):
@@ -297,6 +323,15 @@ class DeltaCloud(NamedTuple):
         return len(self.steps)
 
 
+def wrap(d: float) -> float:
+    """One raw angle difference of two (-pi, pi] angles, wrapped into (-pi, pi]."""
+    if d > math.pi:
+        return d - 2.0 * math.pi
+    if d <= -math.pi:
+        return d + 2.0 * math.pi
+    return d
+
+
 def delta_series(positions) -> DeltaCloud:
     """Post-hoc polar increments of a whole trajectory (iterable of (x, y)).
 
@@ -310,6 +345,6 @@ def delta_series(positions) -> DeltaCloud:
     return DeltaCloud(
         steps=np.flatnonzero(keep) + 1,
         d_r=np.diff(r)[keep],
-        d_phi=wrap_angle(np.diff(phi)[keep]),
+        d_phi=np.array([wrap(d) for d in np.diff(phi)[keep].tolist()], dtype=np.float64),
         skipped=int(len(keep) - keep.sum()),
     )

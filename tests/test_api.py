@@ -6,7 +6,7 @@ PUBLIC = {
     "RandomSource", "run_walk", "run_random_walk",
     "base_primes", "count_walk_primes", "iter_walk_prime_arrays",
     "AreaSeries", "GridObserver", "VisitMap", "recurrence_report",
-    "RunHistogram", "short_run_fraction",
+    "short_run_fraction",
     "PolarObserver", "delta_phi_histogram",
     "benford_table",
     "FitResult", "fit_area_growth", "linear_fit",

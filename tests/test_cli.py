@@ -31,6 +31,8 @@ from primewalk.polar import PolarObserver
 from primewalk.runs import RunLengthObserver
 from primewalk.walk import A1, WalkState, pack_xy, run_walk
 
+from conftest import sieve_segments
+
 CSV_FILES = [
     "area_series.csv",
     "runs.csv",
@@ -196,7 +198,9 @@ class TestWalkCommand:
     def test_segment_size_invisible(self):
         small = [GridObserver(), RunLengthObserver(), PolarObserver()]
         default = [GridObserver(), RunLengthObserver(), PolarObserver()]
-        run_walk(30000, A1, small, segment_flags=256)
+        with sieve_segments(256) as segments:
+            run_walk(30000, A1, small)
+        assert segments.call_count > 1
         run_walk(30000, A1, default)
         for a, b in zip(small, default):
             sa, sb = a.state(), b.state()
@@ -353,6 +357,21 @@ class TestResume:
         assert run_cli(*args, "--out", out) == EXIT_USAGE
         assert "--export-visits" in capsys.readouterr().err
         assert not ran and not out.exists()
+
+    @pytest.mark.parametrize("seed", [7.5, True])
+    def test_non_integer_seed_refused(self, tmp_path, capsys, seed):
+        # a float or a bool would reach the generator as a different stream
+        half, out = tmp_path / "h", tmp_path / "r"
+        run_cli("walk", "--rule", "rw", "--steps", "20000", "--seed", "7", "--out", half)
+        ckpt = half / "checkpoint.pwlk"
+        _, sections = read_checkpoint(ckpt)
+        blob = _config_with(sections["config"]["json"], seed=seed)
+        sections["config"]["json"] = blob
+        write_checkpoint(ckpt, hashlib.sha256(blob).digest(), sections)
+        capsys.readouterr()
+        assert run_cli("resume", ckpt, "--limit", "50000", "--out", out) == EXIT_CHECKPOINT
+        assert "'config' section" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_resume_backwards_refused(self, tmp_path):
         out = tmp_path / "o"

@@ -35,6 +35,8 @@ from conftest import (
     digit_counts,
     record_step,
     recurrence_oracle,
+    rw_batches,
+    sieve_segments,
     z_values,
 )
 
@@ -372,7 +374,9 @@ class TestAreaFromWalks:
 
     def test_rw_batch_size_invisible(self):
         small, default = GridObserver(), GridObserver()
-        run_random_walk(300_000, 11, [small], batch_size=4096)
+        with rw_batches(4096) as draws:
+            run_random_walk(300_000, 11, [small])
+        assert draws.call_count == 74
         run_random_walk(300_000, 11, [default])
         a, b = small.state(), default.state()
         assert a.keys() == b.keys()
@@ -389,7 +393,9 @@ class TestAreaFromWalks:
         assert list(default.series.rows()) == [(t, t, len(set(path.path[: t + 1]))) for t in ts]
         for batch_size in (1, 7, 3):  # 3 puts the thresholds divisible by 3 on batch edges
             g = GridObserver()
-            run_random_walk(steps, 11, [g], batch_size=batch_size)
+            with rw_batches(batch_size) as draws:
+                run_random_walk(steps, 11, [g])
+            assert draws.call_count == -(-steps // batch_size)
             a, b = g.state(), default.state()
             assert a.keys() == b.keys()
             assert all(np.array_equal(a[k], b[k]) for k in a)
@@ -432,7 +438,9 @@ class TestAreaFromWalks:
     def test_streaming_matches_replay_oracle(self):
         g = GridObserver()
         rec = ReplayRecorder()
-        run_walk(100_000, A1, [g, rec], segment_flags=512)
+        with sieve_segments(512) as segments:
+            run_walk(100_000, A1, [g, rec])
+        assert segments.call_count > 1
         distinct = set(rec.path)
         assert g.vmap.area == len(distinct)
         counts = {}

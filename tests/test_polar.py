@@ -14,7 +14,7 @@ from primewalk.polar import (
 )
 from primewalk.walk import A1, run_random_walk, run_walk
 
-from conftest import PathRecorder, delta_series, to_polar
+from conftest import PathRecorder, delta_series, rw_batches, sieve_segments, to_polar
 
 
 class TestToPolar:
@@ -104,12 +104,14 @@ def assert_matches_posthoc_series(walk):
 
 class TestPolarObserver:
     def test_matches_posthoc_series(self):
-        assert_matches_posthoc_series(lambda obs: run_walk(50_000, A1, obs, segment_flags=256))
+        with sieve_segments(256) as segments:
+            assert_matches_posthoc_series(lambda obs: run_walk(50_000, A1, obs))
+        assert segments.call_count > 1
 
     def test_matches_posthoc_series_rw(self):
-        assert_matches_posthoc_series(
-            lambda obs: run_random_walk(30_000, 5, obs, batch_size=4096)
-        )
+        with rw_batches(4096) as draws:
+            assert_matches_posthoc_series(lambda obs: run_random_walk(30_000, 5, obs))
+        assert draws.call_count > 1
 
     def test_sample_accounting(self):
         obs = PolarObserver()

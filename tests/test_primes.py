@@ -1,17 +1,22 @@
 import numpy as np
-import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from primewalk.primes import base_primes, count_walk_primes, iter_walk_prime_arrays
 
-from conftest import iter_events, trial_division_primes, walk_primes_oracle
+from conftest import (
+    iter_events,
+    sieve_segments,
+    trial_division_primes,
+    walk_primes_oracle,
+)
 
 
-def walk_primes_in(lo, hi, segment_flags=8):
-    """Walk primes in [lo, hi) from the engine, over several small segments."""
-    arrays = iter_walk_prime_arrays(hi - 1, start=lo, segment_flags=segment_flags)
-    return [p for arr in arrays for p in arr.tolist()]
+def walk_primes_in(lo, hi):
+    """Walk primes in [lo, hi) from the engine, over segments of 8 odd numbers."""
+    with sieve_segments(8):
+        arrays = iter_walk_prime_arrays(hi - 1, start=lo)
+        return [p for arr in arrays for p in arr.tolist()]
 
 
 class TestBasePrimes:
@@ -57,28 +62,35 @@ class TestEventStream:
         assert [e.prime for e in iter_events(5)] == [3]
 
     def test_event_invariants(self):
-        for e in iter_events(10_000, segment_flags=256):
-            assert e.digit == e.prime % 10
-            assert e.digit in (1, 3, 7, 9)
+        with sieve_segments(256) as segments:
+            for e in iter_events(10_000):
+                assert e.digit == e.prime % 10
+                assert e.digit in (1, 3, 7, 9)
+        assert segments.call_count == 20
 
     def test_matches_trial_division(self):
         got = [e.prime for e in iter_events(10_000)]
         assert got == walk_primes_oracle(10_000)
 
     @given(st.integers(min_value=0, max_value=3000), st.sampled_from([16, 64, 1024]))
+    @example(3000, 16)  # 94 segments
     @settings(max_examples=30, deadline=None)
     def test_segmentation_invisible(self, limit, flags):
         default = [e.prime for e in iter_events(limit)]
-        segmented = [e.prime for e in iter_events(limit, segment_flags=flags)]
+        with sieve_segments(flags) as segments:
+            segmented = [e.prime for e in iter_events(limit)]
         assert default == segmented
+        # one segment per 2 * flags integers from 2 on
+        assert segments.call_count == len(range(2, limit + 1, 2 * flags))
 
     def test_yielded_arrays_outlive_the_next_segment(self):
         # every segment is sieved into one reused flag buffer; the prime
         # arrays are the caller's
         kept, copies = [], []
-        for arr in iter_walk_prime_arrays(200_000, segment_flags=256):
-            kept.append(arr)
-            copies.append(arr.copy())
+        with sieve_segments(256):
+            for arr in iter_walk_prime_arrays(200_000):
+                kept.append(arr)
+                copies.append(arr.copy())
         assert len(kept) > 2
         assert all(np.array_equal(a, c) for a, c in zip(kept, copies))
         assert np.concatenate(kept).tolist() == walk_primes_oracle(200_000)
@@ -103,12 +115,7 @@ class TestCountWalkPrimes:
         # pi(10^6) = 78,498; minus the primes 2 and 5
         assert count_walk_primes(10**6) == 78_496
 
-    @pytest.mark.parametrize("flags", [0, -5])
-    def test_bad_segment_size_rejected(self, flags):
-        with pytest.raises(ValueError, match="segment_flags"):
-            count_walk_primes(1000, segment_flags=flags)
-        with pytest.raises(ValueError, match="segment_flags"):
-            list(iter_walk_prime_arrays(1000, segment_flags=flags))
-
     def test_small_segments_agree(self):
-        assert count_walk_primes(10**6, segment_flags=1 << 12) == 78_496
+        with sieve_segments(1 << 12) as segments:
+            assert count_walk_primes(10**6) == 78_496
+        assert segments.call_count == 123

@@ -6,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from primewalk.primes import WALK_DIGITS
-from primewalk.runs import RunHistogram, RunLengthObserver, short_run_fraction
+from primewalk.runs import RunLengthObserver, short_run_fraction
 
-from conftest import ScalarRuns, iter_events, walk_primes_oracle, walk_run_histogram
+from conftest import (
+    ScalarRuns,
+    iter_events,
+    sieve_segments,
+    walk_primes_oracle,
+    walk_run_counts,
+)
 
 
 def two_pass_oracle(digits):
@@ -32,28 +38,28 @@ def feed_both(digits):
 class TestFeedFinalize:
     def test_alternating(self):
         obs, ref = feed_both([3, 7])
-        assert obs.hist.counts == ref.counts == {(3, 1): 1}
-        assert obs.finalized_histogram().counts == ref.finalize() == {(3, 1): 1, (7, 1): 1}
+        assert obs.counts == ref.counts == {(3, 1): 1}
+        assert obs.finalized_counts() == ref.finalize() == {(3, 1): 1, (7, 1): 1}
 
     def test_pair_then_new(self):
         obs, ref = feed_both([9, 9, 1])
-        assert obs.hist.counts == ref.counts == {(9, 2): 1}
+        assert obs.counts == ref.counts == {(9, 2): 1}
         assert (obs.acc_digit, obs.acc_length) == (ref.digit, ref.length) == (1, 1)
 
     def test_finalize_commits_open_run(self):
         obs, ref = feed_both([1, 1, 1])
-        assert obs.finalized_histogram().counts == ref.finalize() == {(1, 3): 1}
+        assert obs.finalized_counts() == ref.finalize() == {(1, 3): 1}
         assert ref.digit is None
         # the observer keeps its open run so that a resumed walk can extend it
         assert (obs.acc_digit, obs.acc_length) == (1, 3)
 
     def test_finalize_empty_acc(self):
         obs, ref = feed_both([])
-        assert obs.finalized_histogram().counts == ref.finalize() == {}
+        assert obs.finalized_counts() == ref.finalize() == {}
 
     def test_single_digit(self):
         obs, ref = feed_both([3])
-        assert obs.finalized_histogram().counts == ref.finalize() == {(3, 1): 1}
+        assert obs.finalized_counts() == ref.finalize() == {(3, 1): 1}
 
     def test_bad_digit(self):
         # the oracle refuses digits the walk never produces
@@ -63,44 +69,34 @@ class TestFeedFinalize:
     def test_run_of_ten_thousand(self):
         digits = [3] * 10_000 + [7, 1]
         obs, ref = feed_both(digits)
-        assert obs.hist.counts == ref.counts == {(3, 10_000): 1, (7, 1): 1}
-        assert obs.finalized_histogram().counts == two_pass_oracle(digits)
+        assert obs.counts == ref.counts == {(3, 10_000): 1, (7, 1): 1}
+        assert obs.finalized_counts() == two_pass_oracle(digits)
 
 
 class TestRunHistogram:
     def test_primes_to_200_has_double_nine(self):
         # 139 and 149 are consecutive primes, both ending in 9
-        hist = walk_run_histogram(200)
-        oracle = two_pass_oracle([p % 10 for p in walk_primes_oracle(200)])
-        assert hist.counts == oracle
-        assert hist.occurrences(9, 2) >= 1
+        counts = walk_run_counts(200)
+        assert counts == two_pass_oracle([p % 10 for p in walk_primes_oracle(200)])
+        assert counts[9, 2] >= 1
 
     def test_partition_identity(self):
         for limit in (0, 10, 1000, 50_000):
-            hist = walk_run_histogram(limit)
-            assert hist.total_events == sum(
-                1 for _ in iter_events(limit)
-            )
+            events = sum(ln * c for (_, ln), c in walk_run_counts(limit).items())
+            assert events == sum(1 for _ in iter_events(limit))
 
     def test_streaming_equals_two_pass_oracle(self):
         limit = 300_000
         digits = [e.digit for e in iter_events(limit)]
-        assert walk_run_histogram(limit).counts == two_pass_oracle(digits)
+        assert walk_run_counts(limit) == two_pass_oracle(digits)
 
     @given(st.sampled_from([64, 512, 1 << 14]))
     @settings(max_examples=6, deadline=None)
     def test_segment_size_invariant(self, flags):
-        assert (
-            walk_run_histogram(100_000, segment_flags=flags).counts
-            == walk_run_histogram(100_000).counts
-        )
-
-    def test_max_length_per_digit(self):
-        hist = RunHistogram()
-        hist.add(1, 3)
-        hist.add(1, 1, 5)
-        hist.add(7, 2)
-        assert hist.max_length_per_digit == {1: 3, 3: 0, 7: 2, 9: 0}
+        with sieve_segments(flags) as segments:
+            counts = walk_run_counts(100_000)
+        assert segments.call_count > 1
+        assert counts == walk_run_counts(100_000)
 
 
 class TestObserverStateRoundtrip:
@@ -111,7 +107,7 @@ class TestObserverStateRoundtrip:
         split = RunLengthObserver()
         for i in range(0, len(digits), 7):
             split.feed_digits(digits[i : i + 7])
-        assert whole.finalized_histogram() == split.finalized_histogram()
+        assert whole.finalized_counts() == split.finalized_counts()
 
     def test_state_roundtrip_preserves_open_run(self):
         obs = RunLengthObserver()
@@ -119,8 +115,8 @@ class TestObserverStateRoundtrip:
         restored = RunLengthObserver.from_state(obs.state())
         restored.feed_digits(np.array([7, 1], dtype=np.int64))
         obs.feed_digits(np.array([7, 1], dtype=np.int64))
-        assert restored.finalized_histogram() == obs.finalized_histogram()
-        assert restored.finalized_histogram().counts == {
+        assert restored.finalized_counts() == obs.finalized_counts()
+        assert restored.finalized_counts() == {
             (3, 2): 1,
             (7, 2): 1,
             (1, 1): 1,
@@ -146,28 +142,22 @@ def test_uint8_digits_match_int64_and_scalar_oracle(digits, sizes):
         i64.feed_digits(np.array(digits[a:b], dtype=np.int64))
     for d in digits:
         ref.feed(d)
-    assert u8.hist.counts == i64.hist.counts == ref.counts
+    assert u8.counts == i64.counts == ref.counts
     assert (u8.acc_digit, u8.acc_length) == (i64.acc_digit, i64.acc_length)
     assert (u8.acc_digit, u8.acc_length) == (ref.digit or 0, ref.length)
-    assert u8.finalized_histogram().counts == ref.finalize()
+    assert u8.finalized_counts() == ref.finalize()
 
 
 class TestShortRunFraction:
     def test_all_short(self):
-        hist = RunHistogram()
-        hist.add(3, 1)
-        hist.add(7, 1)
-        assert short_run_fraction(hist) == 1.0
+        assert short_run_fraction({(3, 1): 1, (7, 1): 1}) == 1.0
 
     def test_all_long(self):
-        hist = RunHistogram()
-        hist.add(1, 3)
-        assert short_run_fraction(hist) == 0.0
+        assert short_run_fraction({(1, 3): 1}) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            short_run_fraction(RunHistogram())
+            short_run_fraction({})
 
     def test_realistic_fraction_dominates(self):
-        hist = walk_run_histogram(10**6)
-        assert short_run_fraction(hist) > 0.9
+        assert short_run_fraction(walk_run_counts(10**6)) > 0.9

@@ -29,6 +29,8 @@ from conftest import (
     ScalarRandomSource,
     StepObserver,
     pearson_direction,
+    rw_batches,
+    sieve_segments,
     step,
     uniform_block,
     walk_primes_oracle,
@@ -159,7 +161,8 @@ class TestRunWalk:
     @pytest.mark.parametrize("rule", [A1, A2, A3])
     def test_matches_step_oracle(self, rule):
         rec = PathRecorder()
-        run_walk(5000, rule, [rec], segment_flags=64)
+        with sieve_segments(64):
+            run_walk(5000, rule, [rec])
         s, path = WalkState(), []
         for p in walk_primes_oracle(5000):
             s = step(s, p % 10, rule)
@@ -168,14 +171,19 @@ class TestRunWalk:
 
     def test_batching_invisible(self):
         a, b = PathRecorder(), PathRecorder()
-        run_walk(5000, A3, [a], segment_flags=64)
-        run_walk(5000, A3, [b], segment_flags=4096)
+        with sieve_segments(64) as small:
+            run_walk(5000, A3, [a])
+        with sieve_segments(4096) as large:
+            run_walk(5000, A3, [b])
+        assert small.call_count == 40 and large.call_count == 1
         assert a.path == b.path
 
     def test_sessions_fed_alternately_match_runs_alone(self):
         # session b is fed from inside a's batch, so a's observers that come
         # after the feeder would see b's digits or keys if the scratch were shared
-        batches = list(iter_walk_prime_arrays(300_000, segment_flags=4096))
+        with sieve_segments(4096) as segments:
+            batches = list(iter_walk_prime_arrays(300_000))
+        assert segments.call_count > 1
 
         class FeedsOther(WalkObserver):
             def __init__(self, other):
@@ -237,19 +245,18 @@ class TestBatchEntryPoints:
     @pytest.mark.parametrize("resume_at", [0, 2000])
     def test_prime_walk_feeds_once_per_segment(self, resume_at):
         state = run_walk(resume_at, A1)
-        segments = len(list(iter_walk_prime_arrays(5000, start=resume_at + 1, segment_flags=64)))
         feed = WalkSession.feed
-        with mock.patch.object(WalkSession, "feed", autospec=True, side_effect=feed) as spy:
-            run_walk(5000, A1, segment_flags=64, state=state)
-        assert spy.call_count == segments > 1
+        with sieve_segments(64) as segments, \
+                mock.patch.object(WalkSession, "feed", autospec=True, side_effect=feed) as spy:
+            run_walk(5000, A1, state=state)
+        assert spy.call_count == segments.call_count > 1
 
     @pytest.mark.parametrize("resume_at", [0, 500])
     def test_random_walk_draws_once_per_batch_and_never_feeds(self, resume_at):
         state = run_random_walk(resume_at, 3)
-        block_at = RandomSource.block_at
-        with mock.patch.object(RandomSource, "block_at", wraps=block_at) as draws, \
+        with rw_batches(64) as draws, \
                 mock.patch.object(WalkSession, "feed", autospec=True) as feed:
-            run_random_walk(1000, 3, batch_size=64, state=state)
+            run_random_walk(1000, 3, state=state)
         assert draws.call_count == -(-(1000 - resume_at) // 64)
         assert [c.args[1:] for c in draws.call_args_list[:2]] == [
             (resume_at + 1, 64), (resume_at + 65, 64)
@@ -280,7 +287,9 @@ class TestPearson:
     def test_rigged_source_path(self, monkeypatch):
         self.rig(monkeypatch, [0, 1, 2, 3])
         rec = PathRecorder()
-        summary = run_random_walk(4, seed=0, observers=[rec], batch_size=3)
+        with rw_batches(3) as draws:
+            summary = run_random_walk(4, seed=0, observers=[rec])
+        assert draws.call_count == 2
         assert rec.path == [(0, -1), (0, 0), (1, 0), (0, 0)]
         assert (summary.x, summary.y) == (0, 0)
 
@@ -300,11 +309,6 @@ class TestPearson:
         with pytest.raises(ValueError, match=f"seed {seed} "):
             run_random_walk(1000, seed)
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_non_positive_batch_size_refused(self, batch_size):
-        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
-            run_random_walk(10, 1, batch_size=batch_size)
-
 
 SEED_EXTREMES = [0, 25, (1 << 64) - 1]
 # start * GAMMA passes 2^64 at every start but 1; the last block ends at index 2^64 - 1
@@ -315,7 +319,7 @@ class TestRandomSource:
     def test_reproducible(self):
         src = ScalarRandomSource(99)
         a = [int(src.next_float() / 0.25) for _ in range(100)]
-        b = RandomSource.block_at(99, 1, 100).tolist()
+        b = RandomSource.block_at(99, 1, 100, out=RandomSource.workspace(100)).tolist()
         assert a == b
 
     def test_range(self):
@@ -349,15 +353,19 @@ class TestRandomSource:
     def test_resume_ends_on_direct_path(self, remaining):
         """Remaining steps below, equal to and not a multiple of the batch size."""
         direct, resumed = PathRecorder(), PathRecorder()
-        end = run_random_walk(100 + remaining, 9, [direct], batch_size=64)
-        mid = run_random_walk(100, 9, [resumed], batch_size=64)
-        assert run_random_walk(100 + remaining, 9, [resumed], batch_size=64, state=mid) == end
+        with rw_batches(64) as draws:
+            end = run_random_walk(100 + remaining, 9, [direct])
+            mid = run_random_walk(100, 9, [resumed])
+            assert run_random_walk(100 + remaining, 9, [resumed], state=mid) == end
+        assert draws.call_count == -(-(100 + remaining) // 64) + 2 + -(-remaining // 64)
         assert resumed.path == direct.path
 
     def test_equal_seeds_equal_trajectories(self):
         a, b = PathRecorder(), PathRecorder()
         run_random_walk(1000, seed=5, observers=[a])
-        run_random_walk(1000, seed=5, observers=[b], batch_size=17)
+        with rw_batches(17) as draws:
+            run_random_walk(1000, seed=5, observers=[b])
+        assert draws.call_count == 59
         assert a.path == b.path
         src, pos, oracle = ScalarRandomSource(5), (0, 0), []
         for _ in range(1000):
