@@ -267,12 +267,17 @@ def resume_walk(path, target: int, **runtime) -> int:
             f"new limit {target} must exceed checkpointed progress {state.last_n}"
         )
     analyzers = build_analyzers(cfg, sections)
+    for name, obs in analyzers.items():
+        if obs.steps != state.steps_taken:
+            raise CheckpointError(f"checkpoint {name!r} section's steps differ from the walk's")
     g = analyzers.get("grid")
-    if g is not None and g.steps != state.steps_taken:
-        raise CheckpointError("checkpoint 'grid' section's visits differ from the walk's steps")
-    if g is not None and state.steps_taken and not g.vmap.count_at(state.x, state.y):
-        pos = f"({state.x}, {state.y})"
-        raise CheckpointError(f"checkpoint 'walk' section's position {pos} has no 'grid' visit")
+    if g is not None:
+        s, bounds = g.series, (state.last_n, state.steps_taken, g.vmap.area)
+        if s and any(col[-1] > b for col, b in zip((s.n, s.n_p, s.area), bounds)):
+            raise CheckpointError("checkpoint 'grid' section's area series runs past the walk")
+        if state.steps_taken and not g.vmap.count_at(state.x, state.y):
+            xy = f"({state.x}, {state.y})"
+            raise CheckpointError(f"checkpoint 'walk' section's position {xy} has no 'grid' visit")
     del sections  # the analyzers hold copies; free the restored arrays
     return execute_walk(cfg, analyzers, state)
 

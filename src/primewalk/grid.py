@@ -61,7 +61,6 @@ class VisitMap:
         self._ids = np.empty(0, dtype=np.uint64)  # sorted tile ids
         self._slot = np.empty(0, dtype=np.int64)  # store row of each id
         self._store = np.zeros((0, _TILE), dtype=np.uint8)  # one tile per row
-        self._occupied = np.zeros(0, dtype=np.int64)  # nonzero cells per row
         self._cells = 0
         self._total = 0
         self._scratch = None  # masked keys and cell index of a batch, see _flat_index
@@ -103,11 +102,10 @@ class VisitMap:
         return uniq, flat
 
     def _reserve(self, tiles: int) -> None:
-        if tiles > len(self._occupied):
-            cap = max(tiles, int(len(self._occupied) * 1.25))
-            # in place: no view of either array outlives a method call
+        if tiles > len(self._store):
+            cap = max(tiles, int(len(self._store) * 1.25))
+            # in place: no view of the store outlives a method call
             self._store.resize((cap, _TILE), refcheck=False)
-            self._occupied.resize(cap, refcheck=False)
 
     def record_keys(self, keys: np.ndarray) -> None:
         """Merge a batch of packed arrival keys into the map.
@@ -124,7 +122,8 @@ class VisitMap:
         pos = np.searchsorted(self._ids, uniq)
         hit = pos < len(self._ids)
         hit[hit] = self._ids[pos[hit]] == uniq[hit]
-        sums[hit] += self._store[self._slot[pos[hit]]]
+        old = self._store[self._slot[pos[hit]]]
+        sums[hit] += old
         top = int(sums.max())
         if top > _COUNT_MAX:
             x, y = unpack_key(keys[np.argmax(flat == sums.argmax())])
@@ -139,29 +138,24 @@ class VisitMap:
             self._slot = np.insert(self._slot, pos[new], slots)
             self._reserve(len(self._ids))
             pos = pos + np.cumsum(new) - new  # positions after the insert
-        slots = self._slot[pos]
-        self._store[slots] = sums
-        occupied = np.count_nonzero(sums, axis=1)
-        self._cells += int(occupied.sum() - self._occupied[slots].sum())
-        self._occupied[slots] = occupied
+        self._store[self._slot[pos]] = sums
+        self._cells += np.count_nonzero(sums) - np.count_nonzero(old)
         self._total += len(keys)
 
-    def _chunks(self, pos=None):
-        """(tile ids, tiles) in tile-id order, up to _CHUNK_TILES at a time:
-        every tile, or those at positions `pos` of the sorted ids.
+    def _chunks(self):
+        """(tile ids, tiles) of every tile in tile-id order, up to _CHUNK_TILES at a time.
 
         Each chunk is copied from the store as it is at that step, because
         _reserve may move the store, into one buffer that every chunk
         reuses: a chunk is valid until the next one is taken.
         """
-        n = len(self._ids) if pos is None else len(pos)
+        n = len(self._ids)
         buf = np.empty((min(_CHUNK_TILES, n), _TILE), dtype=self._store.dtype)
         for a in range(0, n, _CHUNK_TILES):
-            p = slice(a, a + _CHUNK_TILES) if pos is None else pos[a : a + _CHUNK_TILES]
-            slots = self._slot[p]
+            slots = self._slot[a : a + _CHUNK_TILES]
             # slots < len(store) by construction; mode="raise" would copy `out` first
             tiles = np.take(self._store, slots, axis=0, out=buf[: len(slots)], mode="clip")
-            yield self._ids[p], tiles
+            yield self._ids[a : a + _CHUNK_TILES], tiles
 
     def leading_digit_counts(self) -> np.ndarray:
         """How many occupied cells have a visit count of leading digit 1, ..., 9.
@@ -247,8 +241,7 @@ class VisitMap:
         m._ids, m._slot = ids, np.arange(len(ids), dtype=np.int64)
         # in the store's dtype, in an array the map owns: _reserve resizes it
         m._store = np.array(tiles, dtype=_narrowest(z_max))
-        m._occupied = np.count_nonzero(m._store, axis=1)
-        m._cells = int(m._occupied.sum())
+        m._cells = np.count_nonzero(m._store)
         m._total = int(m._store.sum(dtype=np.int64))
         return m
 
@@ -314,7 +307,6 @@ class RecurrenceReport:
     dist_argmax: float
     quadrant_counts: tuple[int, int, int, int]
     axis_counts: tuple[int, int]
-    distinct_count: int
 
 
 def _cell_xy(ids: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,49 +316,38 @@ def _cell_xy(ids: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return xs + cell // _SIDE, ys + cell % _SIDE
 
 
-def _argmax(vmap: VisitMap) -> tuple[int, int, int]:
-    """(z_max, x, y) of the most-visited cell, ties broken as recurrence_report says."""
-    zmax, best = 1, None  # best: (x^2 + y^2, x, y) of the argmax so far
-    for ids, tiles in vmap._chunks():
-        top = int(tiles.max())
-        if top < zmax:
-            continue
-        xs, ys = _cell_xy(ids, np.flatnonzero(tiles == top))
-        # x^2 + y^2 <= 2^63 is exact in uint64, not in int64
-        d2 = np.square(np.abs(xs).astype(np.uint64)) + np.square(np.abs(ys).astype(np.uint64))
-        i = np.lexsort((ys, xs, d2))[0]
-        here = (int(d2[i]), int(xs[i]), int(ys[i]))
-        if best is None or top > zmax or here < best:
-            zmax, best = top, here
-    return zmax, best[1], best[2]
-
-
-def _sign_tally(vmap: VisitMap) -> np.ndarray:
-    """Occupied cells by the signs of (x, y), at [sign(x) + 1, sign(y) + 1]."""
-    tally = np.zeros(9, dtype=np.int64)
-    x0, y0 = unpack_keys(vmap._ids)
-    # the first cell of a tile has x, y in 64Z: only x0 = 0 (y0 = 0) spans both signs
-    inside = (x0 != 0) & (y0 != 0)  # a tile off both axes lies in one quadrant
-    where = 3 * np.sign(x0[inside]) + np.sign(y0[inside]) + 4
-    np.add.at(tally, where, vmap._occupied[vmap._slot[inside]])
-    for ids, tiles in vmap._chunks(np.flatnonzero(~inside)):
-        xs, ys = _cell_xy(ids, np.flatnonzero(tiles))
-        tally += np.bincount(3 * np.sign(xs) + np.sign(ys) + 4, minlength=9)
-    return tally.reshape(3, 3)
-
-
 def recurrence_report(vmap: VisitMap) -> RecurrenceReport:
     """Most-visited cell plus the quadrant spread of the covered area.
 
     Argmax ties break by distance to the origin, then by (x, y)
     lexicographic order.  Quadrants are strict interiors; cells on the axes
-    and the origin are tallied separately.  The map is read a chunk of
-    tiles at a time, and cell by cell only in the tiles on the axes.
+    and the origin are tallied separately.  The map is read once, a chunk
+    of tiles at a time, and cell by cell only in the tiles on the axes.
     """
     if vmap.total_visits == 0:
         raise ValueError("recurrence report needs at least one recorded step")
-    zmax, bx, by = _argmax(vmap)
-    t = _sign_tally(vmap)
+    zmax, best = 1, None  # best: (x^2 + y^2, x, y) of the argmax so far
+    tally = np.zeros(9, dtype=np.int64)  # occupied cells at 3 sign(x) + sign(y) + 4
+    for ids, tiles in vmap._chunks():
+        top = int(tiles.max())
+        if top >= zmax:
+            xs, ys = _cell_xy(ids, np.flatnonzero(tiles == top))
+            # x^2 + y^2 <= 2^63 is exact in uint64, not in int64
+            d2 = np.square(np.abs(xs).astype(np.uint64)) + np.square(np.abs(ys).astype(np.uint64))
+            i = np.lexsort((ys, xs, d2))[0]
+            here = (int(d2[i]), int(xs[i]), int(ys[i]))
+            if best is None or top > zmax or here < best:
+                zmax, best = top, here
+        x0, y0 = unpack_keys(ids)
+        # the first cell of a tile has x, y in 64Z: only x0 = 0 (y0 = 0) spans both signs
+        inside = (x0 != 0) & (y0 != 0)  # a tile off both axes lies in one quadrant
+        where = 3 * np.sign(x0[inside]) + np.sign(y0[inside]) + 4
+        np.add.at(tally, where, np.count_nonzero(tiles, axis=1)[inside])
+        on_axis = np.flatnonzero(~inside)
+        xs, ys = _cell_xy(ids[on_axis], np.flatnonzero(tiles[on_axis]))
+        tally += np.bincount(3 * np.sign(xs) + np.sign(ys) + 4, minlength=9)
+    t = tally.reshape(3, 3)
+    _, bx, by = best
     return RecurrenceReport(
         argmax_x=bx,
         argmax_y=by,
@@ -374,7 +355,6 @@ def recurrence_report(vmap: VisitMap) -> RecurrenceReport:
         dist_argmax=float(np.hypot(bx, by)),
         quadrant_counts=(int(t[2, 2]), int(t[0, 2]), int(t[0, 0]), int(t[2, 0])),
         axis_counts=(int(t[0, 1] + t[2, 1]), int(t[1, 0] + t[1, 2])),
-        distinct_count=vmap.area,
     )
 
 

@@ -71,6 +71,10 @@ class PolarObserver(WalkObserver):
     def __init__(self, deltas: PolarDeltas | None = None):
         self.deltas = PolarDeltas() if deltas is None else deltas
 
+    @property
+    def steps(self) -> int:  # one increment, kept or skipped, per step
+        return len(self.deltas) + self.deltas.skipped
+
     def observe(self, primes, digits, keys, key0):
         px, py = unpack_keys(np.insert(keys, 0, key0))
         off_origin = (px != 0) | (py != 0)

@@ -30,6 +30,10 @@ class RunLengthObserver(WalkObserver):
         self.acc_length = acc_length
         self._edges = None  # run edges of a batch, see feed_digits
 
+    @property
+    def steps(self) -> int:  # digits fed: every closed run's length, and the open run's
+        return sum(ln * c for (_, ln), c in self.counts.items()) + self.acc_length
+
     def observe(self, primes, digits, keys, key0):
         if digits is None:
             raise ValueError("run-length statistics need a digit-driven walk")

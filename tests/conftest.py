@@ -197,7 +197,6 @@ def recurrence_oracle(vmap) -> RecurrenceReport:
         dist_argmax=float(np.hypot(bx, by)),
         quadrant_counts=(tally(1, 1), tally(-1, 1), tally(-1, -1), tally(1, -1)),
         axis_counts=(tally(1, 0) + tally(-1, 0), tally(0, 1) + tally(0, -1)),
-        distinct_count=vmap.area,
     )
 
 

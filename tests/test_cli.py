@@ -52,6 +52,11 @@ def _first_count(tiles, count, dtype=np.int32):
     return tiles
 
 
+def _last_plus(column, k):
+    """A copy of `column` with `k` added to its last entry."""
+    return np.append(column[:-1], column[-1] + k)
+
+
 def _config_with(blob, **fields):
     """The config JSON `blob` with `fields` set."""
     return json.dumps({**json.loads(blob), **fields}).encode()
@@ -461,6 +466,12 @@ class TestResume:
             ("runs", "acc_length", lambda a: a + 0.5),
             ("walk", "x", lambda a: a + 0.25),
             ("grid", "series_n", lambda a: a + 0.5),
+            ("runs", "occurrences", lambda a: a + (np.arange(len(a)) == 0)),
+            ("polar", "counts", lambda a: a + 5),
+            ("polar", "skipped", lambda a: a + 1),
+            ("grid", "series_n", lambda a: _last_plus(a, 10**6)),
+            ("grid", "series_n_p", lambda a: _last_plus(a, 10**6)),
+            ("grid", "series_area", lambda a: _last_plus(a, 10**6)),
         ],
         ids=["duplicate-tile-id", "unsorted-tile-ids", "tile-id-not-first-cell",
              "tiles-row-short", "count-past-int32",
@@ -470,7 +481,9 @@ class TestResume:
              "polar-fractional-counts", "polar-negative-skipped", "runs-open-digit-4",
              "runs-negative-occurrences", "walk-x-unpackable", "walk-x-off-path",
              "runs-fractional-lengths", "runs-fractional-open-run", "walk-fractional-x",
-             "grid-fractional-series"],
+             "grid-fractional-series", "runs-past-walk-steps", "polar-past-walk-steps",
+             "polar-skips-past-walk-steps", "series-past-walk-n", "series-past-walk-steps",
+             "series-past-map-area"],
     )
     def test_malformed_section_refused(self, tmp_path, capsys, section, field, damage):
         out = tmp_path / "o"
