@@ -262,6 +262,10 @@ def resume_walk(path, target: int, **runtime) -> int:
     stored = _restore(sections, "config", lambda s: RunConfig(**json.loads(s["json"])))
     cfg = replace(stored, limit=target, **runtime)
     state = _restore(sections, "walk", _walk_state)
+    steps, n = state.steps_taken, state.last_n
+    # the baseline takes one step per N, a prime walk at most one
+    if steps > n or (cfg.rule == "rw" and steps != n):
+        raise CheckpointError(f"checkpoint 'walk' section's {steps} steps do not fit its N {n}")
     if target <= state.last_n:
         raise CheckpointError(
             f"new limit {target} must exceed checkpointed progress {state.last_n}"

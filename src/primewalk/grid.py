@@ -22,7 +22,8 @@ from .walk import WalkObserver, pack_xy, unpack_key, unpack_keys
 
 _SIDE = 64  # tile edge; the tile of packed (X, Y) is (X >> 6, Y >> 6)
 _TILE = _SIDE * _SIDE
-_CHUNK_TILES = 256  # tiles per chunk when the finished map is read: 1M cells, 4 MB
+_CHUNK_TILES = 256  # tiles per chunk of the finished map's tile stream: 1M cells, 4 MB
+_CELL_TILES = 16  # tiles' worth of cells per read of its occupied-cell stream: 64K cells
 # clears X & 63, Y & 63: a key's tile id, the packed key of its tile's first cell
 _TILE_MASK = np.uint64(0xFFFFFFC0_FFFFFFC0)
 _COUNT_MAX = np.iinfo(np.int32).max
@@ -143,7 +144,7 @@ class VisitMap:
         self._total += len(keys)
 
     def _chunks(self):
-        """(tile ids, tiles) of every tile in tile-id order, up to _CHUNK_TILES at a time.
+        """The tiles in tile-id order, up to _CHUNK_TILES at a time.
 
         Each chunk is copied from the store as it is at that step, because
         _reserve may move the store, into one buffer that every chunk
@@ -154,8 +155,7 @@ class VisitMap:
         for a in range(0, n, _CHUNK_TILES):
             slots = self._slot[a : a + _CHUNK_TILES]
             # slots < len(store) by construction; mode="raise" would copy `out` first
-            tiles = np.take(self._store, slots, axis=0, out=buf[: len(slots)], mode="clip")
-            yield self._ids[a : a + _CHUNK_TILES], tiles
+            yield np.take(self._store, slots, axis=0, out=buf[: len(slots)], mode="clip")
 
     def leading_digit_counts(self) -> np.ndarray:
         """How many occupied cells have a visit count of leading digit 1, ..., 9.
@@ -168,7 +168,7 @@ class VisitMap:
         """
         counts = np.zeros(10, dtype=np.int64)
         if self._store.dtype == np.int32:
-            for _, tiles in self._chunks():
+            for tiles in self._chunks():
                 counts += np.bincount(leading_digits(tiles[tiles > 0]), minlength=10)
             return counts[1:]
         used = self._store[: len(self._ids)].reshape(-1)
@@ -182,13 +182,13 @@ class VisitMap:
 
     def _cell_chunks(self):
         """(keys, counts) of the occupied cells in packed-key order, read from
-        about _CHUNK_TILES tiles' worth of cells at a time."""
+        about _CELL_TILES tiles' worth of cells at a time; a chunk may be empty."""
         cols = self._ids >> np.uint64(32)
         bounds = np.flatnonzero(np.diff(cols)) + 1
         edges = [0, *bounds.tolist(), len(cols)] if len(cols) else []
         for a, b in zip(edges, edges[1:]):
             ids, slots = self._ids[a:b], self._slot[a:b]
-            band = max(1, _CHUNK_TILES * _SIDE // (b - a))  # lx values per read
+            band = max(1, _CELL_TILES * _SIDE // (b - a))  # lx values per read
             for x0 in range(0, _SIDE, band):
                 # (tile, lx, ly) -> (lx, tile, ly): packed-key order in the column
                 block = self._store.reshape(-1, _SIDE, _SIDE)[slots, x0 : x0 + band]
@@ -198,13 +198,6 @@ class VisitMap:
                 tile, ly = np.divmod(rest, _SIDE)
                 lx = (lx + x0).astype(np.uint64) << np.uint64(32)
                 yield ids[tile] + lx + ly.astype(np.uint64), block[nz].astype(np.int64)
-
-    def items(self):
-        """Yield (x, y, count) in packed-key order."""
-        for keys, counts in self._cell_chunks():
-            for key, c in zip(keys.tolist(), counts.tolist()):
-                x, y = unpack_key(key)
-                yield x, y, c
 
     # checkpoint support
     def state(self) -> dict:
@@ -220,7 +213,7 @@ class VisitMap:
         def chunks():
             if self._total != total:
                 raise RuntimeError("the visit map changed after its state was taken")
-            return (tiles for _, tiles in self._chunks())
+            return self._chunks()
 
         tiles = ChunkedArray((len(self._ids), _TILE), self._store.dtype, chunks)
         return {"tile_ids": self._ids.copy(), "tiles": tiles}
@@ -309,42 +302,30 @@ class RecurrenceReport:
     axis_counts: tuple[int, int]
 
 
-def _cell_xy(ids: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int64 (xs, ys) of the cells at positions `flat` of tiles `ids` laid one after another."""
-    tile, cell = np.divmod(flat, _TILE)
-    xs, ys = unpack_keys(ids[tile])
-    return xs + cell // _SIDE, ys + cell % _SIDE
-
-
 def recurrence_report(vmap: VisitMap) -> RecurrenceReport:
     """Most-visited cell plus the quadrant spread of the covered area.
 
     Argmax ties break by distance to the origin, then by (x, y)
     lexicographic order.  Quadrants are strict interiors; cells on the axes
-    and the origin are tallied separately.  The map is read once, a chunk
-    of tiles at a time, and cell by cell only in the tiles on the axes.
+    and the origin are tallied separately.  The map is read once, as the
+    stream of its occupied cells.
     """
     if vmap.total_visits == 0:
         raise ValueError("recurrence report needs at least one recorded step")
     zmax, best = 1, None  # best: (x^2 + y^2, x, y) of the argmax so far
     tally = np.zeros(9, dtype=np.int64)  # occupied cells at 3 sign(x) + sign(y) + 4
-    for ids, tiles in vmap._chunks():
-        top = int(tiles.max())
+    for keys, counts in vmap._cell_chunks():
+        xs, ys = unpack_keys(keys)
+        top = int(counts.max(initial=0))
         if top >= zmax:
-            xs, ys = _cell_xy(ids, np.flatnonzero(tiles == top))
+            at = counts == top
+            x, y = xs[at], ys[at]
             # x^2 + y^2 <= 2^63 is exact in uint64, not in int64
-            d2 = np.square(np.abs(xs).astype(np.uint64)) + np.square(np.abs(ys).astype(np.uint64))
-            i = np.lexsort((ys, xs, d2))[0]
-            here = (int(d2[i]), int(xs[i]), int(ys[i]))
+            d2 = np.square(np.abs(x).astype(np.uint64)) + np.square(np.abs(y).astype(np.uint64))
+            i = np.lexsort((y, x, d2))[0]
+            here = (int(d2[i]), int(x[i]), int(y[i]))
             if best is None or top > zmax or here < best:
                 zmax, best = top, here
-        x0, y0 = unpack_keys(ids)
-        # the first cell of a tile has x, y in 64Z: only x0 = 0 (y0 = 0) spans both signs
-        inside = (x0 != 0) & (y0 != 0)  # a tile off both axes lies in one quadrant
-        where = 3 * np.sign(x0[inside]) + np.sign(y0[inside]) + 4
-        np.add.at(tally, where, np.count_nonzero(tiles, axis=1)[inside])
-        on_axis = np.flatnonzero(~inside)
-        xs, ys = _cell_xy(ids[on_axis], np.flatnonzero(tiles[on_axis]))
         tally += np.bincount(3 * np.sign(xs) + np.sign(ys) + 4, minlength=9)
     t = tally.reshape(3, 3)
     _, bx, by = best
@@ -428,7 +409,8 @@ def write_visits_csv(vmap: VisitMap, path) -> None:
     if len(vmap) > _VISITS_MAX_CELLS:
         raise ValueError(f"visit map has {len(vmap)} cells, above guard {_VISITS_MAX_CELLS}")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "y", "z"])
-        for x, y, z in vmap.items():
-            w.writerow([x, y, z])
+        fh.write("x,y,z\r\n")
+        for keys, counts in vmap._cell_chunks():
+            xs, ys = unpack_keys(keys)
+            rows = zip(xs.tolist(), ys.tolist(), counts.tolist())
+            fh.write("".join(f"{x},{y},{z}\r\n" for x, y, z in rows))

@@ -173,6 +173,13 @@ def cells(vmap) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(keys), np.concatenate(counts)
 
 
+def items(vmap) -> list:
+    """(x, y, count) of every occupied cell of a visit map (or its oracle), in
+    packed-key order, read through `cells()`."""
+    keys, counts = cells(vmap)
+    return [(*unpack_key(k), c) for k, c in zip(keys.tolist(), counts.tolist())]
+
+
 def z_values(vmap) -> np.ndarray:
     """Every positive visit count of a visit map (or its oracle), in packed-key order."""
     return cells(vmap)[1]

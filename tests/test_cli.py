@@ -502,6 +502,32 @@ class TestResume:
         )
         assert f"{section!r} section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "walk_args, last_n, target",
+        [
+            # primes 5,001-6,000 would be walked a second time
+            (("--limit", "1e5", "--analyses", "runs"), lambda s: 5_000, "6000"),
+            # rw's N is its step count: 1e5 steps stored with the area series' last N
+            (("--rule", "rw", "--steps", "1e5", "--seed", "7"),
+             lambda s: s["grid"]["series_n"][-1], "99000"),
+        ],
+        ids=["prime-steps-past-n", "rw-steps-not-n"],
+    )
+    def test_walk_steps_that_do_not_fit_n_refused(
+        self, tmp_path, capsys, walk_args, last_n, target
+    ):
+        out = tmp_path / "o"
+        run_cli("walk", *walk_args, "--out", out)
+        ckpt = out / "checkpoint.pwlk"
+        stored_hash, sections = read_checkpoint(ckpt)
+        sections["walk"]["n"] = np.int64(last_n(sections))
+        write_checkpoint(ckpt, stored_hash, sections)
+        capsys.readouterr()
+        args = ("resume", ckpt, "--limit", target, "--out", tmp_path / "x")
+        assert run_cli(*args) == EXIT_CHECKPOINT
+        assert "'walk' section" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_not_a_checkpoint(self, tmp_path):
         bogus = tmp_path / "bogus.bin"
         bogus.write_bytes(b"not a checkpoint at all")
@@ -624,7 +650,9 @@ class TestOutputMemory:
         tiles = len(g.vmap.state()["tile_ids"])
         assert tiles == 4096
         tile = 64 * 64 * 4  # bytes of one int32 tile
-        cfg = RunConfig(analyses=("area", "benford", "recurrence"), out_dir=tmp_path)
+        cfg = RunConfig(
+            analyses=("area", "benford", "recurrence"), out_dir=tmp_path, export_visits=True
+        )
         summary = WalkState(coords[-1], coords[-1], g.steps, g.steps)
         analyzers = {"grid": g}
         phases = {

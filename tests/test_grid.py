@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import tracemalloc
@@ -33,6 +34,7 @@ from conftest import (
     StepObserver,
     cells,
     digit_counts,
+    items,
     record_step,
     recurrence_oracle,
     rw_batches,
@@ -59,7 +61,7 @@ def assert_same_map(m, oracle):
     for got, want in zip(cells(m), cells(oracle), strict=True):
         assert np.array_equal(got, want)
         assert got.dtype == want.dtype
-    assert list(m.items()) == list(oracle.items())
+    assert items(m) == list(oracle.items())
     assert (len(m), m.area, m.total_visits) == (len(oracle), oracle.area, oracle.total_visits)
     assert m.leading_digit_counts().tolist() == digit_counts(z_values(oracle))
     for x, y, c in oracle.items():
@@ -110,7 +112,7 @@ class TestVisitMap:
         record_step(m, 4, -1)
         assert m.count_at(-3, -7) == 2
         assert m.count_at(4, -1) == 1
-        assert sorted(xy for xy in m.items()) == [(-3, -7, 2), (4, -1, 1)]
+        assert sorted(items(m)) == [(-3, -7, 2), (4, -1, 1)]
 
     def test_batch_equals_stepwise(self):
         rng = np.random.default_rng(0)
@@ -120,7 +122,7 @@ class TestVisitMap:
         a.record_keys(_keys(zip(xs.tolist(), ys.tolist())))
         for x, y in zip(xs.tolist(), ys.tolist()):
             record_step(b, x, y)
-        assert list(a.items()) == list(b.items())
+        assert items(a) == items(b)
         assert a.area == b.area
 
     def test_pack_range_guard(self):
@@ -169,7 +171,7 @@ class TestVisitMap:
             tracemalloc.stop()
         # a directory dense over the bounding box would need ~2^58 entries
         assert peak < 1 << 20
-        assert sorted(m.items()) == sorted((x, y, 1) for x, y in cells)
+        assert sorted(items(m)) == sorted((x, y, 1) for x, y in cells)
 
     def test_count_overflow_refused(self, monkeypatch):
         monkeypatch.setattr(grid, "_COUNT_MAX", 5)
@@ -193,7 +195,7 @@ class TestVisitMap:
         record_step(m, 1, 2)
         record_step(m, -1, 0)
         m2 = VisitMap.from_state(m.state())
-        assert list(m2.items()) == list(m.items())
+        assert items(m2) == items(m)
         assert m2.total_visits == m.total_visits
 
     def test_restore_holds_one_copy_of_the_tiles(self):
@@ -255,6 +257,17 @@ def _assert_streamed_equals_savez(path, m, chunk):
     return loaded["grid"]
 
 
+def _assert_visits_csv_equals_csv_writer(tmp_path, m):
+    """write_visits_csv writes the bytes of csv.writer over the map's cells."""
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x", "y", "z"])
+        w.writerows(items(m))
+    grid.write_visits_csv(m, tmp_path / "visits.csv")
+    assert (tmp_path / "visits.csv").read_bytes() == want.read_bytes()
+
+
 GROWN_MAPS = {
     "first": BATCHES,
     "later": BATCHES,
@@ -270,10 +283,11 @@ class TestTilePaths:
     @settings(max_examples=200, deadline=None)
     def test_digit_counts_and_recurrence(self, first, later, mirror, chunk):
         m, oracle = _grown_map(first, later, mirror)
-        with mock.patch.object(grid, "_CHUNK_TILES", chunk):
+        with mock.patch.object(grid, "_CHUNK_TILES", chunk), \
+                mock.patch.object(grid, "_CELL_TILES", chunk):
             if oracle.total_visits:
                 assert recurrence_report(m) == recurrence_oracle(oracle)
-            assert_same_map(m, oracle)  # digit counts, cells and items() included
+            assert_same_map(m, oracle)  # digit counts, cells and items included
 
     @given(**{**GROWN_MAPS, "chunk": st.sampled_from([1, 2, 3])})
     @settings(max_examples=30, deadline=None)
@@ -359,6 +373,24 @@ class TestTilePaths:
                 assert restored._store.dtype == m._store.dtype
                 assert_same_map(restored, oracle)
         assert m._store.dtype == np.int32
+
+    @given(**GROWN_MAPS)
+    @settings(max_examples=100, deadline=None)
+    def test_visits_csv_equals_csv_writer(self, tmp_path_factory, first, later, mirror, chunk):
+        m, _ = _grown_map(first, later, mirror)
+        with mock.patch.object(grid, "_CELL_TILES", chunk):
+            _assert_visits_csv_equals_csv_writer(tmp_path_factory.mktemp("v"), m)
+
+    def test_visits_csv_of_the_empty_map(self, tmp_path):
+        _assert_visits_csv_equals_csv_writer(tmp_path, VisitMap())
+        assert (tmp_path / "visits.csv").read_bytes() == b"x,y,z\r\n"
+
+    def test_visits_csv_across_reads(self, tmp_path):
+        # 40 tiles a column: each column of cells is read 25 lx values at a time
+        m = VisitMap()
+        m.record_keys(_keys([(x, y) for x in range(-70, 70, 3) for y in range(-1280, 1280, 37)]))
+        assert sum(1 for _ in m._cell_chunks()) > len(np.unique(m._ids >> np.uint64(32)))
+        _assert_visits_csv_equals_csv_writer(tmp_path, m)
 
     def test_state_of_a_changed_map_refused(self):
         m = VisitMap()
@@ -539,19 +571,20 @@ class TestRecurrence:
 
     def test_reads_one_chunk_at_a_time(self, monkeypatch):
         # three visits to one cell of each of 16 x 16 tiles around the origin,
-        # axis tiles included: four chunks of 64 tiles
-        monkeypatch.setattr(grid, "_CHUNK_TILES", 64)
+        # axis tiles included: 64 reads of 4 tiles' worth of cells
+        monkeypatch.setattr(grid, "_CELL_TILES", 4)
         coords = [64 * i for i in range(-8, 8)]
         m = VisitMap()
         m.record_keys(_keys([(x, y) for x in coords for y in coords] * 3))
-        assert len(m.state()["tile_ids"]) == 4 * grid._CHUNK_TILES
+        assert len(m.state()["tile_ids"]) == 256
+        assert sum(1 for _ in m._cell_chunks()) == 64
         tracemalloc.start()
         try:
             rep = recurrence_report(m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk = grid._CHUNK_TILES * grid._TILE * 4  # bytes of one int32 chunk
+        chunk = grid._CELL_TILES * grid._TILE * 4  # bytes of one read's cells as int32
         assert peak < 1.5 * chunk, (peak, chunk)
         assert rep == recurrence_oracle(m)
 
