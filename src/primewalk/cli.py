@@ -304,7 +304,10 @@ def _add_run_flags(p: argparse.ArgumentParser):
     """Flags outside the run identity, so walk and resume both take them."""
     p.add_argument("--out", default=".", help="output directory")
     # only 1 is accepted: kept because the benchmark's command lines pass --threads 1
-    p.add_argument("--threads", type=int, default=1, choices=(1,))
+    p.add_argument(
+        "--threads", type=int, default=1, choices=(1,),
+        help="ignored; the sieve's width comes from the usable CPUs",
+    )
     p.add_argument("--export-visits", action="store_true")
 
 

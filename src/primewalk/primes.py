@@ -4,17 +4,30 @@ Primes are produced in strictly increasing order with bounded memory.  The
 walk consumes only primes whose last decimal digit is 1, 3, 7 or 9, i.e.
 every prime except 2 and 5; those two are filtered out here so that every
 downstream consumer sees the same stream.
+
+A range of at least POOL_MIN_SPAN integers is sieved in forked worker
+processes when two or more CPUs are usable: the walk keeps one CPU for the
+engine, a count uses them all.  Smaller ranges, one CPU and platforms
+without `fork` sieve in the calling process.  Every width yields the same
+primes.
 """
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
+import os
 from typing import Iterator
 
 import numpy as np
 
 # Odd-number flags per segment; one segment then spans twice as many integers.
 SEGMENT_FLAGS = 1 << 20
+
+# Ranges spanning fewer integers are sieved in-process: a fork does not pay
+# for itself there, and the README's 1e7 walk stays in one process.
+POOL_MIN_SPAN = 10**8
 
 WALK_DIGITS = (1, 3, 7, 9)
 
@@ -58,6 +71,12 @@ def _walk_flags(lo: int, hi: int, base: np.ndarray, buf: np.ndarray) -> tuple[in
     return first_odd, flags
 
 
+def _bounds(limit: int, start: int) -> Iterator[tuple[int, int]]:
+    """[lo, hi) of each segment of [start, limit], in order."""
+    span = 2 * SEGMENT_FLAGS
+    return ((lo, min(lo + span, limit + 1)) for lo in range(max(start, 2), limit + 1, span))
+
+
 def _segments(limit: int, start: int) -> Iterator[tuple[int, np.ndarray]]:
     """_walk_flags of each segment [lo, hi) of [start, limit], in order;
     every segment is sieved into one flag buffer, so its flags are valid
@@ -66,13 +85,145 @@ def _segments(limit: int, start: int) -> Iterator[tuple[int, np.ndarray]]:
         return
     base = base_primes(math.isqrt(limit))
     buf = np.empty(min(SEGMENT_FLAGS, limit // 2 + 1), dtype=bool)
-    span = 2 * SEGMENT_FLAGS
-    for lo in range(max(start, 2), limit + 1, span):
-        yield _walk_flags(lo, min(lo + span, limit + 1), base, buf)
+    for lo, hi in _bounds(limit, start):
+        yield _walk_flags(lo, hi, base, buf)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pool_width(limit: int, start: int, spare: int) -> int:
+    """Sieve workers for [start, limit]: the usable CPUs less the main
+    process's `spare`, at most one per segment.  0 means sieve in-process:
+    one usable CPU, a span under POOL_MIN_SPAN, or no `fork`."""
+    lo = max(start, 2)
+    cpus = _usable_cpus()
+    if cpus < 2 or limit + 1 - lo < POOL_MIN_SPAN or not hasattr(os, "fork"):
+        return 0
+    return min(cpus - spare, len(range(lo, limit + 1, 2 * SEGMENT_FLAGS)))
+
+
+def _sieve_worker(conns, index: int, base: np.ndarray, size: int, slots) -> None:
+    """Forked worker: sieve each (lo, hi, slot) task it receives and answer
+    with the segment's walk-prime count, after writing the primes into
+    `slots[slot]` when there are slots.  An error answers with its text."""
+    import signal
+
+    # the main process stops us; SIGINT was blocked across the fork
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    for i, (main_end, worker_end) in enumerate(conns):
+        # hold no other end, so each side sees EOF when the other goes
+        main_end.close()
+        if i != index:
+            worker_end.close()
+    conn, buf = conns[index][1], np.empty(size, dtype=bool)
+    while True:
+        try:
+            lo, hi, slot = conn.recv()
+        except (EOFError, OSError):
+            return  # the main process has gone
+        try:
+            first_odd, flags = _walk_flags(lo, hi, base, buf)
+            if slots is None:
+                answer = int(np.count_nonzero(flags))
+            else:
+                idx = np.flatnonzero(flags)
+                out = slots[slot, : len(idx)]
+                np.add(np.multiply(idx, 2, out=out), first_odd, out=out)
+                answer = len(idx)
+        except Exception as exc:
+            conn.send(f"{type(exc).__name__}: {exc}")
+            raise  # and the traceback goes to stderr
+        conn.send(answer)
+
+
+def _pooled(limit: int, start: int, width: int, primes: bool) -> Iterator:
+    """Each segment of [start, limit] sieved by `width` forked workers, in
+    order: a view of its walk primes, valid until the next is taken and
+    skipped when empty, or without `primes` its walk-prime count.
+
+    Segment i goes to worker i % width and slot i % (width + 1); at most
+    width + 1 segments are in flight, the one the caller holds included.
+    A worker that fails raises RuntimeError naming the segment.  The
+    workers are gone when the generator ends, however it ends.
+    """
+    import mmap
+    import multiprocessing
+    import signal
+
+    size = min(SEGMENT_FLAGS, limit // 2 + 1)
+    base = base_primes(math.isqrt(limit))
+    depth = width + 1
+    slots = None
+    if primes:  # anonymous and shared, made before the fork
+        shared = mmap.mmap(-1, depth * size * 8)
+        slots = np.frombuffer(shared, dtype=np.int64).reshape(depth, size)
+    # fork: a worker inherits numpy and the base primes instead of importing
+    # and sieving them again; the sieve's callers start no threads
+    ctx = multiprocessing.get_context("fork")
+    conns = [ctx.Pipe() for _ in range(width)]
+    workers = [
+        ctx.Process(target=_sieve_worker, args=(conns, i, base, size, slots), daemon=True)
+        for i in range(width)
+    ]
+    ends = [main_end for main_end, _ in conns]
+    segments, sent = enumerate(_bounds(limit, start)), collections.deque()
+
+    def send(count: int) -> None:
+        for i, (lo, hi) in itertools.islice(segments, count):
+            sent.append((i, lo, hi))
+            try:
+                ends[i % width].send((lo, hi, i % depth))
+            except OSError:
+                pass  # the worker is gone; its answer for an earlier segment says why
+
+    try:
+        # a ^C before a worker ignores SIGINT waits, and is then dropped
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for w in workers:
+                w.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for _, worker_end in conns:
+            worker_end.close()
+        send(depth)
+        while sent:
+            i, lo, hi = sent.popleft()
+            try:
+                answer = ends[i % width].recv()
+            except (EOFError, OSError):  # a reset if it left tasks unread
+                answer = "the worker exited"
+            if isinstance(answer, str):
+                raise RuntimeError(f"sieve segment [{lo}, {hi}) failed: {answer}")
+            if slots is None:
+                yield answer
+            elif answer:
+                yield slots[i % depth, :answer]
+            send(1)  # into the slot the caller has just given back
+    finally:
+        # killed before their ends close, so no worker reports a broken pipe
+        started = [w for w in workers if w.pid is not None]
+        for w in started:
+            w.terminate()
+        for w in started:
+            w.join()
+        for end in ends:
+            end.close()
 
 
 def iter_walk_prime_arrays(limit: int, *, start: int = 2) -> Iterator[np.ndarray]:
-    """Yield ascending arrays of walk primes in [start, limit], one per segment holding any."""
+    """Yield ascending arrays of walk primes in [start, limit], one per
+    segment holding any; each is valid until the next is taken."""
+    width = _pool_width(limit, start, spare=1)
+    if width:
+        yield from _pooled(limit, start, width, primes=True)
+        return
     for first_odd, flags in _segments(limit, start):
         primes = np.flatnonzero(flags)  # int64 indices, mapped to odd N in place
         if len(primes):
@@ -81,4 +232,7 @@ def iter_walk_prime_arrays(limit: int, *, start: int = 2) -> Iterator[np.ndarray
 
 def count_walk_primes(limit: int, *, start: int = 2) -> int:
     """Number of primes in [start, limit] with terminal digit in {1, 3, 7, 9}."""
+    width = _pool_width(limit, start, spare=0)
+    if width:
+        return sum(_pooled(limit, start, width, primes=False))
     return sum(int(np.count_nonzero(flags)) for _, flags in _segments(limit, start))

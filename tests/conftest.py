@@ -59,6 +59,19 @@ def sieve_segments(flags: int):
 
 
 @contextmanager
+def sieve_pool(cpus: int):
+    """Within the `with` block the sieve sees `cpus` usable CPUs and forks
+    its workers for a range of any span: a walk's stream is sieved by
+    cpus - 1 workers and a count by `cpus`, while 1 keeps both in-process.
+
+    Like `sieve_segments`, a stream must be consumed inside the block.
+    """
+    with mock.patch.object(primes, "_usable_cpus", return_value=cpus), \
+            mock.patch.object(primes, "POOL_MIN_SPAN", 0):
+        yield
+
+
+@contextmanager
 def rw_batches(n: int):
     """Within the `with` block `run_random_walk` takes batches of `n` steps;
     yields a spy on `RandomSource.block_at`, called once per batch."""

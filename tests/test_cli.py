@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import struct
 import tracemalloc
@@ -31,7 +32,7 @@ from primewalk.polar import PolarObserver
 from primewalk.runs import RunLengthObserver
 from primewalk.walk import A1, WalkState, pack_xy, run_walk
 
-from conftest import sieve_segments
+from conftest import sieve_pool, sieve_segments
 
 CSV_FILES = [
     "area_series.csv",
@@ -324,6 +325,35 @@ class TestWalkCommand:
         # the default analysis list still runs, and skips runs
         assert run_cli("walk", "--rule", "rw", "--limit", "1000", "--out", out) == EXIT_OK
         assert (out / "summary.txt").exists() and not (out / "runs.csv").exists()
+
+
+class TestPooledSieve:
+    """A walk's outputs are the same whatever number of workers sieves it."""
+
+    OUTPUTS = CSV_FILES + ["summary.txt", "visits.csv", "checkpoint.pwlk"]
+
+    @staticmethod
+    def walk(out, cpus, flags, *args):
+        with sieve_segments(flags), sieve_pool(cpus):
+            assert run_cli(*args, "--export-visits", "--out", out) == EXIT_OK
+        assert multiprocessing.active_children() == []
+        return {name: (out / name).read_bytes() for name in TestPooledSieve.OUTPUTS}
+
+    @pytest.mark.parametrize("flags", [64, 4096])
+    def test_outputs_identical_across_widths(self, tmp_path, flags):
+        args = ("walk", "--limit", "60000", "--rule", "a2")
+        alone = self.walk(tmp_path / "alone", 1, flags, *args)
+        for cpus in (2, 3, 4):  # widths 1, 2 and 3
+            assert self.walk(tmp_path / f"pool{cpus}", cpus, flags, *args) == alone, cpus
+
+    @pytest.mark.parametrize("flags", [64, 4096])
+    def test_resume_through_the_pool_equals_direct(self, tmp_path, flags):
+        direct = self.walk(tmp_path / "d", 1, flags, "walk", "--limit", "60000", "--rule", "a3")
+        for cpus in (2, 3, 4):
+            half, resumed = tmp_path / f"h{cpus}", tmp_path / f"r{cpus}"
+            self.walk(half, cpus, flags, "walk", "--limit", "27000", "--rule", "a3")
+            args = ("resume", half / "checkpoint.pwlk", "--limit", "60000")
+            assert self.walk(resumed, cpus, flags, *args) == direct, cpus
 
 
 class TestResume:

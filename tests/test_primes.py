@@ -1,11 +1,25 @@
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from multiprocessing.connection import Connection
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from primewalk import primes
 from primewalk.primes import base_primes, count_walk_primes, iter_walk_prime_arrays
+from primewalk.walk import A1, WalkObserver, run_walk
 
 from conftest import (
     iter_events,
+    sieve_pool,
     sieve_segments,
     trial_division_primes,
     walk_primes_oracle,
@@ -84,8 +98,8 @@ class TestEventStream:
         assert segments.call_count == len(range(2, limit + 1, 2 * flags))
 
     def test_yielded_arrays_outlive_the_next_segment(self):
-        # every segment is sieved into one reused flag buffer; the prime
-        # arrays are the caller's
+        # in-process, every segment is sieved into one reused flag buffer and
+        # the prime arrays are the caller's (the pool's are views of a slot)
         kept, copies = [], []
         with sieve_segments(256):
             for arr in iter_walk_prime_arrays(200_000):
@@ -119,3 +133,199 @@ class TestCountWalkPrimes:
         with sieve_segments(1 << 12) as segments:
             assert count_walk_primes(10**6) == 78_496
         assert segments.call_count == 123
+
+
+def pooled_batches(limit, cpus, flags):
+    """Copies of the walk-prime batches to `limit` with `cpus` usable CPUs."""
+    with sieve_segments(flags), sieve_pool(cpus):
+        return [batch.copy() for batch in iter_walk_prime_arrays(limit)]
+
+
+class TestSievePool:
+    @pytest.mark.parametrize("flags", [64, 4096])
+    @pytest.mark.parametrize("cpus", [2, 3, 4])  # walk widths 1, 2 and 3
+    def test_batches_identical_across_widths(self, cpus, flags):
+        alone = pooled_batches(60_000, 1, flags)
+        pooled = pooled_batches(60_000, cpus, flags)
+        assert len(pooled) == len(alone) == len(range(2, 60_001, 2 * flags))
+        assert all(np.array_equal(a, b) for a, b in zip(alone, pooled))
+        assert all(a.dtype == b.dtype for a, b in zip(alone, pooled))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_count_identical_across_widths(self, cpus):
+        with sieve_segments(64), sieve_pool(cpus):
+            assert count_walk_primes(10**5) == 9590  # pi(1e5) - 2
+            assert count_walk_primes(10**5, start=50_001) == 9590 - 5131
+            assert count_walk_primes(1) == 0
+        assert multiprocessing.active_children() == []
+
+    def test_empty_segments_are_skipped(self):
+        # with 8 odd numbers a segment, [1330, 1346) and [1954, 1970) hold no prime
+        alone, pooled = pooled_batches(2000, 1, 8), pooled_batches(2000, 2, 8)
+        assert len(pooled) == len(alone) == len(range(2, 2001, 16)) - 2
+        assert all(len(b) for b in pooled)
+        assert all(np.array_equal(a, b) for a, b in zip(alone, pooled))
+        assert np.concatenate(pooled).tolist() == walk_primes_oracle(2000)
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_segments_in_flight_are_bounded(self, cpus):
+        # below 2e4 every 128 integers hold a prime, so batch k is segment k
+        width = cpus - 1
+        sent, real_send = [], Connection.send
+
+        def send(conn, obj):
+            sent.append(obj)
+            real_send(conn, obj)
+
+        expect = pooled_batches(20_000, 1, 64)
+        in_flight = []
+        with sieve_segments(64), sieve_pool(cpus), mock.patch.object(Connection, "send", send):
+            for k, batch in enumerate(iter_walk_prime_arrays(20_000)):
+                in_flight.append(len(sent) - k)
+                # the workers sieve the next segments meanwhile, never into this one
+                time.sleep(0.0005)
+                assert np.array_equal(batch, expect[k])
+        tasks = len(expect)
+        assert in_flight == [min(width + 1, tasks - k) for k in range(tasks)]
+        assert [slot for _, _, slot in sent] == [k % (width + 1) for k in range(tasks)]
+
+    def test_width_is_capped(self, monkeypatch):
+        # a width function only: no process is started here
+        monkeypatch.setattr(primes, "_usable_cpus", lambda: 64)
+        assert primes._pool_width(10**12, 2, spare=1) == 63
+        assert primes._pool_width(10**12, 2, spare=0) == 64
+        span = 2 * primes.SEGMENT_FLAGS
+        limit = primes.POOL_MIN_SPAN + 2 * span
+        segments = len(range(2, limit + 1, span))
+        assert segments < 63
+        assert primes._pool_width(limit, 2, spare=1) == segments
+        # a range under the minimum span, such as the README's 1e7 walk
+        assert primes.POOL_MIN_SPAN > 10**7
+        assert primes._pool_width(10**7, 2, spare=1) == 0
+        assert primes._pool_width(10**12, 10**12 - 10**7, spare=0) == 0
+        monkeypatch.setattr(primes, "_usable_cpus", lambda: 1)
+        assert primes._pool_width(10**12, 2, spare=0) == 0
+
+    def test_width_without_fork_is_in_process(self, monkeypatch):
+        monkeypatch.setattr(primes, "_usable_cpus", lambda: 8)
+        monkeypatch.delattr(os, "fork")
+        assert primes._pool_width(10**12, 2, spare=0) == 0
+
+    def test_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert primes._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert primes._usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert primes._usable_cpus() == 1
+
+
+def ignores_sigint(pid):
+    """Whether process `pid` ignores SIGINT or, before it can, blocks it,
+    by its SigIgn and SigBlk masks in /proc."""
+    with open(f"/proc/{pid}/status") as fh:
+        masks = [int(line.split()[1], 16) for line in fh if line.startswith(("SigIgn:", "SigBlk:"))]
+    return any(mask >> (signal.SIGINT - 1) & 1 for mask in masks)
+
+
+class TestSievePoolEnds:
+    """However a pooled stream ends, no worker is left running."""
+
+    def test_consumer_stops_early(self):
+        with sieve_segments(64), sieve_pool(3):
+            stream = iter_walk_prime_arrays(50_000)
+            next(stream)
+            next(stream)
+            assert len(multiprocessing.active_children()) == 2
+            stream.close()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_observer_raises_mid_walk(self, error):
+        # KeyboardInterrupt stands for a SIGINT in the main process
+        class RaisesOnThirdBatch(WalkObserver):
+            batches = 0
+
+            def observe(self, primes, digits, keys, key0):
+                self.batches += 1
+                if self.batches == 3:
+                    raise error("stop")
+
+        with sieve_segments(64), sieve_pool(2), pytest.raises(error):
+            run_walk(50_000, A1, [RaisesOnThirdBatch()])
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_names_the_segment(self):
+        real = primes._walk_flags
+
+        def fails_at(lo, hi, base, buf):
+            if lo == 2 + 5 * 128:
+                raise ValueError("struck out")
+            return real(lo, hi, base, buf)
+
+        with sieve_segments(64), sieve_pool(3), \
+                mock.patch.object(primes, "_walk_flags", fails_at):
+            with pytest.raises(RuntimeError, match=r"sieve segment \[642, 770\).*ValueError: struck out"):
+                list(iter_walk_prime_arrays(50_000))
+            with pytest.raises(RuntimeError, match=r"sieve segment \[642, 770\)"):
+                count_walk_primes(50_000)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_names_the_segment(self):
+        real = primes._walk_flags
+
+        def exits_at(lo, hi, base, buf):
+            if lo == 2 + 3 * 128:
+                os._exit(3)
+            return real(lo, hi, base, buf)
+
+        with sieve_segments(64), sieve_pool(2), \
+                mock.patch.object(primes, "_walk_flags", exits_at):
+            with pytest.raises(RuntimeError, match=r"sieve segment \[386, 514\).*worker exited"):
+                list(iter_walk_prime_arrays(50_000))
+        assert multiprocessing.active_children() == []
+
+    def test_sigint_to_the_process_group(self, tmp_path):
+        # a terminal's ^C reaches every process of the group: the workers
+        # ignore it, and the main process stops them as it unwinds
+        script = textwrap.dedent("""
+            import multiprocessing, sys, time
+            from unittest import mock
+            from primewalk import primes
+            with mock.patch.object(primes, "SEGMENT_FLAGS", 64), \\
+                    mock.patch.object(primes, "_usable_cpus", return_value=3), \\
+                    mock.patch.object(primes, "POOL_MIN_SPAN", 0):
+                for batch in primes.iter_walk_prime_arrays(10**6):
+                    print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+                    time.sleep(60)
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=env, start_new_session=True, text=True,
+        )
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(pids) == 2
+            if os.path.exists(f"/proc/{pids[0]}/status"):
+                assert all(ignores_sigint(pid) for pid in pids)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode != 0
+        assert err.count("KeyboardInterrupt") == 1, err
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+def test_cli_import_leaves_the_pool_modules_out():
+    code = "import sys, primewalk.cli; print(sorted({'multiprocessing', 'mmap'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
