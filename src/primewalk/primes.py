@@ -6,8 +6,8 @@ every prime except 2 and 5; those two are filtered out here so that every
 downstream consumer sees the same stream.
 
 A range of at least POOL_MIN_SPAN integers is sieved in forked worker
-processes when two or more CPUs are usable: the walk keeps one CPU for the
-engine, a count uses them all.  Smaller ranges, one CPU and platforms
+processes when two or more CPUs are usable: WALK_WORKERS beside a walk's
+engine, COUNT_WORKERS for a count.  Smaller ranges, one CPU and platforms
 without `fork` sieve in the calling process.  Every width yields the same
 primes.
 """
@@ -28,6 +28,11 @@ SEGMENT_FLAGS = 1 << 20
 # Ranges spanning fewer integers are sieved in-process: a fork does not pay
 # for itself there, and the README's 1e7 walk stays in one process.
 POOL_MIN_SPAN = 10**8
+
+# Sieve workers, whatever the number of usable CPUs: the widths measured to
+# pay on two cores.  A walk's engine keeps up with about one worker.
+WALK_WORKERS = 1
+COUNT_WORKERS = 2
 
 WALK_DIGITS = (1, 3, 7, 9)
 
@@ -96,15 +101,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_width(limit: int, start: int, spare: int) -> int:
-    """Sieve workers for [start, limit]: the usable CPUs less the main
-    process's `spare`, at most one per segment.  0 means sieve in-process:
-    one usable CPU, a span under POOL_MIN_SPAN, or no `fork`."""
-    lo = max(start, 2)
-    cpus = _usable_cpus()
-    if cpus < 2 or limit + 1 - lo < POOL_MIN_SPAN or not hasattr(os, "fork"):
-        return 0
-    return min(cpus - spare, len(range(lo, limit + 1, 2 * SEGMENT_FLAGS)))
+def _forks_workers(limit: int, start: int) -> bool:
+    """Whether [start, limit] is sieved in workers: not on one usable CPU,
+    for a span under POOL_MIN_SPAN, or without `fork`."""
+    span = limit + 1 - max(start, 2)
+    return _usable_cpus() >= 2 and span >= POOL_MIN_SPAN and hasattr(os, "fork")
 
 
 def _sieve_worker(conns, index: int, base: np.ndarray, size: int, slots) -> None:
@@ -144,11 +145,12 @@ def _sieve_worker(conns, index: int, base: np.ndarray, size: int, slots) -> None
 
 def _pooled(limit: int, start: int, width: int, primes: bool) -> Iterator:
     """Each segment of [start, limit] sieved by `width` forked workers, in
-    order: a view of its walk primes, valid until the next is taken and
-    skipped when empty, or without `primes` its walk-prime count.
+    order: a copy of its walk primes, skipped when empty, or without
+    `primes` its walk-prime count.
 
     Segment i goes to worker i % width and slot i % (width + 1); at most
-    width + 1 segments are in flight, the one the caller holds included.
+    width + 1 segments are in flight, so a worker has the next one to sieve
+    while the caller runs.
     A worker that fails raises RuntimeError naming the segment.  The
     workers are gone when the generator ends, however it ends.
     """
@@ -201,11 +203,10 @@ def _pooled(limit: int, start: int, width: int, primes: bool) -> Iterator:
                 answer = "the worker exited"
             if isinstance(answer, str):
                 raise RuntimeError(f"sieve segment [{lo}, {hi}) failed: {answer}")
-            if slots is None:
-                yield answer
-            elif answer:
-                yield slots[i % depth, :answer]
-            send(1)  # into the slot the caller has just given back
+            batch = answer if slots is None else slots[i % depth, :answer].copy()
+            send(1)  # into the slot just read
+            if slots is None or answer:
+                yield batch
     finally:
         # killed before their ends close, so no worker reports a broken pipe
         started = [w for w in workers if w.pid is not None]
@@ -219,10 +220,9 @@ def _pooled(limit: int, start: int, width: int, primes: bool) -> Iterator:
 
 def iter_walk_prime_arrays(limit: int, *, start: int = 2) -> Iterator[np.ndarray]:
     """Yield ascending arrays of walk primes in [start, limit], one per
-    segment holding any; each is valid until the next is taken."""
-    width = _pool_width(limit, start, spare=1)
-    if width:
-        yield from _pooled(limit, start, width, primes=True)
+    segment holding any; each is a new array that the caller owns."""
+    if _forks_workers(limit, start):
+        yield from _pooled(limit, start, WALK_WORKERS, primes=True)
         return
     for first_odd, flags in _segments(limit, start):
         primes = np.flatnonzero(flags)  # int64 indices, mapped to odd N in place
@@ -232,7 +232,6 @@ def iter_walk_prime_arrays(limit: int, *, start: int = 2) -> Iterator[np.ndarray
 
 def count_walk_primes(limit: int, *, start: int = 2) -> int:
     """Number of primes in [start, limit] with terminal digit in {1, 3, 7, 9}."""
-    width = _pool_width(limit, start, spare=0)
-    if width:
-        return sum(_pooled(limit, start, width, primes=False))
+    if _forks_workers(limit, start):
+        return sum(_pooled(limit, start, COUNT_WORKERS, primes=False))
     return sum(int(np.count_nonzero(flags)) for _, flags in _segments(limit, start))

@@ -59,14 +59,16 @@ def sieve_segments(flags: int):
 
 
 @contextmanager
-def sieve_pool(cpus: int):
-    """Within the `with` block the sieve sees `cpus` usable CPUs and forks
-    its workers for a range of any span: a walk's stream is sieved by
-    cpus - 1 workers and a count by `cpus`, while 1 keeps both in-process.
+def sieve_pool(workers: int):
+    """Within the `with` block a walk's stream and a count over a range of
+    any span are sieved by `workers` forked workers, or with 0 (one usable
+    CPU) in-process.
 
     Like `sieve_segments`, a stream must be consumed inside the block.
     """
-    with mock.patch.object(primes, "_usable_cpus", return_value=cpus), \
+    with mock.patch.object(primes, "_usable_cpus", return_value=2 if workers else 1), \
+            mock.patch.object(primes, "WALK_WORKERS", workers), \
+            mock.patch.object(primes, "COUNT_WORKERS", workers), \
             mock.patch.object(primes, "POOL_MIN_SPAN", 0):
         yield
 

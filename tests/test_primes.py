@@ -98,8 +98,8 @@ class TestEventStream:
         assert segments.call_count == len(range(2, limit + 1, 2 * flags))
 
     def test_yielded_arrays_outlive_the_next_segment(self):
-        # in-process, every segment is sieved into one reused flag buffer and
-        # the prime arrays are the caller's (the pool's are views of a slot)
+        # every segment is sieved into one reused flag buffer; the prime
+        # arrays are the caller's
         kept, copies = [], []
         with sieve_segments(256):
             for arr in iter_walk_prime_arrays(200_000):
@@ -135,26 +135,27 @@ class TestCountWalkPrimes:
         assert segments.call_count == 123
 
 
-def pooled_batches(limit, cpus, flags):
-    """Copies of the walk-prime batches to `limit` with `cpus` usable CPUs."""
-    with sieve_segments(flags), sieve_pool(cpus):
-        return [batch.copy() for batch in iter_walk_prime_arrays(limit)]
+def pooled_batches(limit, workers, flags):
+    """The walk-prime batches to `limit`, sieved by `workers` workers and
+    kept as they come: each is the caller's at every width."""
+    with sieve_segments(flags), sieve_pool(workers):
+        return list(iter_walk_prime_arrays(limit))
 
 
 class TestSievePool:
     @pytest.mark.parametrize("flags", [64, 4096])
-    @pytest.mark.parametrize("cpus", [2, 3, 4])  # walk widths 1, 2 and 3
-    def test_batches_identical_across_widths(self, cpus, flags):
-        alone = pooled_batches(60_000, 1, flags)
-        pooled = pooled_batches(60_000, cpus, flags)
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_batches_identical_across_widths(self, workers, flags):
+        alone = pooled_batches(60_000, 0, flags)
+        pooled = pooled_batches(60_000, workers, flags)
         assert len(pooled) == len(alone) == len(range(2, 60_001, 2 * flags))
         assert all(np.array_equal(a, b) for a, b in zip(alone, pooled))
         assert all(a.dtype == b.dtype for a, b in zip(alone, pooled))
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_count_identical_across_widths(self, cpus):
-        with sieve_segments(64), sieve_pool(cpus):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_count_identical_across_widths(self, workers):
+        with sieve_segments(64), sieve_pool(workers):
             assert count_walk_primes(10**5) == 9590  # pi(1e5) - 2
             assert count_walk_primes(10**5, start=50_001) == 9590 - 5131
             assert count_walk_primes(1) == 0
@@ -162,55 +163,57 @@ class TestSievePool:
 
     def test_empty_segments_are_skipped(self):
         # with 8 odd numbers a segment, [1330, 1346) and [1954, 1970) hold no prime
-        alone, pooled = pooled_batches(2000, 1, 8), pooled_batches(2000, 2, 8)
+        alone, pooled = pooled_batches(2000, 0, 8), pooled_batches(2000, 1, 8)
         assert len(pooled) == len(alone) == len(range(2, 2001, 16)) - 2
         assert all(len(b) for b in pooled)
         assert all(np.array_equal(a, b) for a, b in zip(alone, pooled))
         assert np.concatenate(pooled).tolist() == walk_primes_oracle(2000)
 
-    @pytest.mark.parametrize("cpus", [2, 4])
-    def test_segments_in_flight_are_bounded(self, cpus):
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_segments_in_flight_are_bounded(self, width):
         # below 2e4 every 128 integers hold a prime, so batch k is segment k
-        width = cpus - 1
         sent, real_send = [], Connection.send
 
         def send(conn, obj):
             sent.append(obj)
             real_send(conn, obj)
 
-        expect = pooled_batches(20_000, 1, 64)
-        in_flight = []
-        with sieve_segments(64), sieve_pool(cpus), mock.patch.object(Connection, "send", send):
+        expect = pooled_batches(20_000, 0, 64)
+        in_flight, kept = [], []
+        with sieve_segments(64), sieve_pool(width), mock.patch.object(Connection, "send", send):
             for k, batch in enumerate(iter_walk_prime_arrays(20_000)):
-                in_flight.append(len(sent) - k)
-                # the workers sieve the next segments meanwhile, never into this one
+                # segments 0..k are read; the workers sieve the next ones meanwhile
+                in_flight.append(len(sent) - k - 1)
                 time.sleep(0.0005)
-                assert np.array_equal(batch, expect[k])
+                kept.append(batch)
         tasks = len(expect)
-        assert in_flight == [min(width + 1, tasks - k) for k in range(tasks)]
+        assert in_flight == [min(width + 1, tasks - k - 1) for k in range(tasks)]
+        # each batch was copied out of its slot before the slot was reused
+        assert all(np.array_equal(a, b) for a, b in zip(kept, expect))
         assert [slot for _, _, slot in sent] == [k % (width + 1) for k in range(tasks)]
 
     def test_width_is_capped(self, monkeypatch):
-        # a width function only: no process is started here
+        # the widths measured to pay, however many CPUs are usable; `_pooled`
+        # is stubbed, so no process is started
+        calls = []
+        monkeypatch.setattr(primes, "_pooled", lambda *args, **kw: calls.append(args) or iter(()))
         monkeypatch.setattr(primes, "_usable_cpus", lambda: 64)
-        assert primes._pool_width(10**12, 2, spare=1) == 63
-        assert primes._pool_width(10**12, 2, spare=0) == 64
-        span = 2 * primes.SEGMENT_FLAGS
-        limit = primes.POOL_MIN_SPAN + 2 * span
-        segments = len(range(2, limit + 1, span))
-        assert segments < 63
-        assert primes._pool_width(limit, 2, spare=1) == segments
+        assert (primes.WALK_WORKERS, primes.COUNT_WORKERS) == (1, 2)
+        assert list(iter_walk_prime_arrays(10**12)) == []
+        assert count_walk_primes(10**12, start=10**11) == 0
+        assert calls == [(10**12, 2, 1), (10**12, 10**11, 2)]
         # a range under the minimum span, such as the README's 1e7 walk
         assert primes.POOL_MIN_SPAN > 10**7
-        assert primes._pool_width(10**7, 2, spare=1) == 0
-        assert primes._pool_width(10**12, 10**12 - 10**7, spare=0) == 0
+        assert not primes._forks_workers(10**7, 2)
+        assert not primes._forks_workers(10**12, 10**12 - 10**7)
+        assert primes._forks_workers(10**12, 10**12 - primes.POOL_MIN_SPAN + 1)
         monkeypatch.setattr(primes, "_usable_cpus", lambda: 1)
-        assert primes._pool_width(10**12, 2, spare=0) == 0
+        assert not primes._forks_workers(10**12, 2)
 
     def test_width_without_fork_is_in_process(self, monkeypatch):
         monkeypatch.setattr(primes, "_usable_cpus", lambda: 8)
         monkeypatch.delattr(os, "fork")
-        assert primes._pool_width(10**12, 2, spare=0) == 0
+        assert not primes._forks_workers(10**12, 2)
 
     def test_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
@@ -234,7 +237,7 @@ class TestSievePoolEnds:
     """However a pooled stream ends, no worker is left running."""
 
     def test_consumer_stops_early(self):
-        with sieve_segments(64), sieve_pool(3):
+        with sieve_segments(64), sieve_pool(2):
             stream = iter_walk_prime_arrays(50_000)
             next(stream)
             next(stream)
@@ -253,7 +256,7 @@ class TestSievePoolEnds:
                 if self.batches == 3:
                     raise error("stop")
 
-        with sieve_segments(64), sieve_pool(2), pytest.raises(error):
+        with sieve_segments(64), sieve_pool(1), pytest.raises(error):
             run_walk(50_000, A1, [RaisesOnThirdBatch()])
         assert multiprocessing.active_children() == []
 
@@ -265,7 +268,7 @@ class TestSievePoolEnds:
                 raise ValueError("struck out")
             return real(lo, hi, base, buf)
 
-        with sieve_segments(64), sieve_pool(3), \
+        with sieve_segments(64), sieve_pool(2), \
                 mock.patch.object(primes, "_walk_flags", fails_at):
             with pytest.raises(RuntimeError, match=r"sieve segment \[642, 770\).*ValueError: struck out"):
                 list(iter_walk_prime_arrays(50_000))
@@ -281,7 +284,7 @@ class TestSievePoolEnds:
                 os._exit(3)
             return real(lo, hi, base, buf)
 
-        with sieve_segments(64), sieve_pool(2), \
+        with sieve_segments(64), sieve_pool(1), \
                 mock.patch.object(primes, "_walk_flags", exits_at):
             with pytest.raises(RuntimeError, match=r"sieve segment \[386, 514\).*worker exited"):
                 list(iter_walk_prime_arrays(50_000))
@@ -295,7 +298,8 @@ class TestSievePoolEnds:
             from unittest import mock
             from primewalk import primes
             with mock.patch.object(primes, "SEGMENT_FLAGS", 64), \\
-                    mock.patch.object(primes, "_usable_cpus", return_value=3), \\
+                    mock.patch.object(primes, "_usable_cpus", return_value=2), \\
+                    mock.patch.object(primes, "WALK_WORKERS", 2), \\
                     mock.patch.object(primes, "POOL_MIN_SPAN", 0):
                 for batch in primes.iter_walk_prime_arrays(10**6):
                     print(*[p.pid for p in multiprocessing.active_children()], flush=True)
