@@ -1,11 +1,12 @@
 """Binary checkpoint files: a header of magic "PWLK", version, 32-byte
 config hash, payload length and CRC32 of the payload, then the payload, an
 npz archive of "section/field" arrays, up to the end of the file.  The
-header's size and CRC checks pass before the payload is loaded.  The
-payload streams through the file in both directions: a write holds one
-chunk of a `ChunkedArray` at a time, and a read holds no second copy of
-the arrays it loads."""
+header's size and CRC checks, and the size each array header declares,
+pass before the payload is loaded.  The payload streams through the file
+in both directions: a write holds one chunk of a `ChunkedArray` at a
+time, and a read holds no second copy of the arrays it loads."""
 
+import math
 import os
 import struct
 import zipfile
@@ -18,7 +19,7 @@ from numpy.lib import format as npy
 MAGIC = b"PWLK"
 VERSION = 6
 _HEAD = struct.Struct("<4sI32sQI")
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16  # bytes per read of the CRC pass
 
 
 class CheckpointError(Exception):
@@ -35,10 +36,7 @@ class ChunkedArray:
     """
 
     def __init__(self, shape: tuple, dtype, chunks):
-        self.shape, self.dtype, self._chunks = tuple(shape), np.dtype(dtype), chunks
-
-    def chunks(self):
-        return self._chunks()
+        self.shape, self.dtype, self.chunks = tuple(shape), np.dtype(dtype), chunks
 
     def __array__(self, dtype=None, copy=None):
         out = np.empty(self.shape, self.dtype)
@@ -79,22 +77,33 @@ def _decode(a: np.ndarray):
 
 
 def _write_npz(fh, arrays: dict) -> None:
-    """The bytes np.savez(fh, **arrays) writes; a ChunkedArray goes chunk by chunk."""
+    """The bytes np.savez(fh, **arrays) writes: each array's header, then its
+    C-order bytes chunk by chunk; an array that is not a ChunkedArray is one chunk."""
     with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as npz:
         for name, a in arrays.items():
             with npz.open(f"{name}.npy", "w", force_zip64=True) as member:
-                if not isinstance(a, ChunkedArray):
-                    npy.write_array(member, a, allow_pickle=False)
-                    continue
                 descr = npy.dtype_to_descr(a.dtype)
                 npy.write_array_header_1_0(
                     member, {"descr": descr, "fortran_order": False, "shape": a.shape}
                 )
                 size = 0
-                for chunk in a.chunks():
+                for chunk in a.chunks() if isinstance(a, ChunkedArray) else (a,):
                     size += member.write(np.ascontiguousarray(chunk, a.dtype))
-                if size != a.dtype.itemsize * int(np.prod(a.shape)):
+                if size != a.dtype.itemsize * math.prod(a.shape):
                     raise ValueError(f"{name}: chunks hold {size} bytes, not the shape's")
+
+
+def _check_sizes(npz: zipfile.ZipFile) -> None:
+    """Refuse a member whose array header declares other than the bytes it
+    holds, before np.load allocates what the header declares."""
+    for info in npz.infolist():
+        with npz.open(info) as member:
+            if npy.read_magic(member) != (1, 0):
+                raise ValueError(f"{info.filename}: not a version 1.0 array")
+            shape, _, dtype = npy.read_array_header_1_0(member)
+            held = info.file_size - member.tell()
+            if dtype.itemsize * math.prod(shape) != held:
+                raise ValueError(f"{info.filename}: {dtype} {shape} declared in {held} bytes")
 
 
 def write_checkpoint(path, config_hash: bytes, sections: dict) -> None:
@@ -138,6 +147,7 @@ def read_checkpoint(path) -> tuple[bytes, dict]:
         sections: dict[str, dict] = {}
         try:
             with np.load(fh, allow_pickle=False) as npz:
+                _check_sizes(npz.zip)
                 for name in npz.files:
                     section, key = name.split("/")
                     sections.setdefault(section, {})[key] = _decode(npz[name])

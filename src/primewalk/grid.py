@@ -22,8 +22,7 @@ from .walk import WalkObserver, pack_xy, unpack_key, unpack_keys
 
 _SIDE = 64  # tile edge; the tile of packed (X, Y) is (X >> 6, Y >> 6)
 _TILE = _SIDE * _SIDE
-_CHUNK_TILES = 256  # tiles per chunk of the finished map's tile stream: 1M cells, 4 MB
-_CELL_TILES = 16  # tiles' worth of cells per read of its occupied-cell stream: 64K cells
+_CELL_TILES = 16  # tiles per read of the finished map: 64K cells
 # clears X & 63, Y & 63: a key's tile id, the packed key of its tile's first cell
 _TILE_MASK = np.uint64(0xFFFFFFC0_FFFFFFC0)
 _COUNT_MAX = np.iinfo(np.int32).max
@@ -143,42 +142,26 @@ class VisitMap:
         self._cells += np.count_nonzero(sums) - np.count_nonzero(old)
         self._total += len(keys)
 
-    def _chunks(self):
-        """The tiles in tile-id order, up to _CHUNK_TILES at a time.
-
-        Each chunk is copied from the store as it is at that step, because
-        _reserve may move the store, into one buffer that every chunk
-        reuses: a chunk is valid until the next one is taken.
-        """
-        n = len(self._ids)
-        buf = np.empty((min(_CHUNK_TILES, n), _TILE), dtype=self._store.dtype)
-        for a in range(0, n, _CHUNK_TILES):
-            slots = self._slot[a : a + _CHUNK_TILES]
-            # slots < len(store) by construction; mode="raise" would copy `out` first
-            yield np.take(self._store, slots, axis=0, out=buf[: len(slots)], mode="clip")
-
     def leading_digit_counts(self) -> np.ndarray:
         """How many occupied cells have a visit count of leading digit 1, ..., 9.
 
-        The store's dtype picks the path.  The counts of a uint8 or uint16
-        store are tallied in a histogram of values, which needs no tile
-        order and so is read from the store itself, and grouped by the
-        leading digits of the values; an int32 store's counts are divided
-        down a chunk at a time.
+        The store is read _CELL_TILES tiles at a time, in store order, which a
+        tally does not need.  A uint8 or uint16 store's counts are tallied
+        in a histogram of values, grouped by leading digit at the end; an
+        int32 store's counts are divided down read by read.
         """
-        counts = np.zeros(10, dtype=np.int64)
-        if self._store.dtype == np.int32:
-            for tiles in self._chunks():
-                counts += np.bincount(leading_digits(tiles[tiles > 0]), minlength=10)
-            return counts[1:]
-        used = self._store[: len(self._ids)].reshape(-1)
-        hist = np.zeros(np.iinfo(self._store.dtype).max + 1, dtype=np.int64)
-        step = _CHUNK_TILES * _TILE // 64  # bincount widens to int64: 128 KB at a time
-        for a in range(0, len(used), step):
-            part = np.bincount(used[a : a + step])
-            hist[: len(part)] += part
-        np.add.at(counts, leading_digits(np.arange(1, len(hist))), hist[1:])
-        return counts[1:]
+        values = self._store.dtype != np.int32
+        tally = np.zeros(np.iinfo(self._store.dtype).max + 1 if values else 10, dtype=np.int64)
+        used = self._store[: len(self._ids)]
+        for a in range(0, len(used), _CELL_TILES):
+            z = used[a : a + _CELL_TILES].reshape(-1)
+            part = np.bincount(z) if values else np.bincount(leading_digits(z[z > 0]))
+            tally[: len(part)] += part
+        if values:
+            digits = np.zeros(10, dtype=np.int64)
+            np.add.at(digits, leading_digits(np.arange(1, len(tally))), tally[1:])
+            tally = digits
+        return tally[1:]
 
     def _cell_chunks(self):
         """(keys, counts) of the occupied cells in packed-key order, read from
@@ -205,17 +188,23 @@ class VisitMap:
         store's dtype: the narrowest of uint8, uint16 and int32 that holds
         the largest count.
 
-        The tiles are read from the store chunk by chunk when they are
-        written, so the map must not change in between.
+        The tiles are read from the store when they are written, so the map
+        must not change in between.  They are copied _CELL_TILES at a time
+        into one buffer that every chunk reuses: a chunk is valid until the
+        next one is taken.
         """
-        total = self._total
+        total, n = self._total, len(self._ids)
 
         def chunks():
             if self._total != total:
                 raise RuntimeError("the visit map changed after its state was taken")
-            return self._chunks()
+            buf = np.empty((min(_CELL_TILES, n), _TILE), dtype=self._store.dtype)
+            for a in range(0, n, _CELL_TILES):
+                slots = self._slot[a : a + _CELL_TILES]
+                # slots < len(store) by construction; mode="raise" would copy `out` first
+                yield np.take(self._store, slots, axis=0, out=buf[: len(slots)], mode="clip")
 
-        tiles = ChunkedArray((len(self._ids), _TILE), self._store.dtype, chunks)
+        tiles = ChunkedArray((n, _TILE), self._store.dtype, chunks)
         return {"tile_ids": self._ids.copy(), "tiles": tiles}
 
     @classmethod

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import struct
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -448,6 +449,30 @@ class TestResume:
             )
         assert "unsupported checkpoint version 5" in capsys.readouterr().err
 
+    def test_oversized_array_header_refused(self, tmp_path, capsys):
+        # under a valid CRC, the tiles' header declares 4 PiB, more than any
+        # address space holds: refused before anything that size is allocated
+        out = tmp_path / "o"
+        run_cli("walk", "--limit", "1e5", "--out", out)
+        ckpt = out / "checkpoint.pwlk"
+        blob = bytearray(ckpt.read_bytes())
+        at = blob.index(b"'shape': (", blob.index(b"grid/map_tiles.npy"))
+        end = blob.index(b"\n", at)  # the header's padding ends at its newline
+        shape = f"'shape': ({1 << 40}, 4096), }}".encode()
+        assert len(shape) <= end - at
+        blob[at:end] = shape.ljust(end - at)
+        head = checkpoint._HEAD
+        magic, version, config_hash, length, _ = head.unpack_from(blob)
+        crc = zlib.crc32(blob[head.size :])
+        blob[: head.size] = head.pack(magic, version, config_hash, length, crc)
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert (
+            run_cli("resume", ckpt, "--limit", "2e5", "--out", tmp_path / "x")
+            == EXIT_CHECKPOINT
+        )
+        assert "undecodable checkpoint payload" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "section", ["config", "walk", "grid", "runs", "polar", "polar/counts"]
     )
@@ -691,10 +716,10 @@ class TestOutputMemory:
                 lambda: write_outputs(cfg, analyzers, summary, tmp_path),
                 tiles * tile // 4,
             ),
-            # one uint8 chunk, the tile ids and 32 KB
+            # one read of uint8 tiles, the tile ids and 32 KB
             "save_checkpoint": (
                 lambda: save_checkpoint(cfg, analyzers, summary, tmp_path / "checkpoint.pwlk"),
-                grid._CHUNK_TILES * tile // 4 + tiles * 8 + (32 << 10),
+                grid._CELL_TILES * tile // 4 + tiles * 8 + (32 << 10),
             ),
         }
         for name, (phase, budget) in phases.items():

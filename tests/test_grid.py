@@ -18,6 +18,8 @@ from primewalk.grid import (
     checkpoint_schedule,
     recurrence_report,
 )
+from primewalk.polar import PolarObserver
+from primewalk.runs import RunLengthObserver
 from primewalk.walk import (
     A1,
     WalkSession,
@@ -233,14 +235,27 @@ def _narrowest(z_max):
     return np.uint8 if z_max <= 255 else np.uint16 if z_max <= 65_535 else np.int32
 
 
+def _run_and_polar_sections():
+    runs, polar = RunLengthObserver(), PolarObserver()
+    run_walk(2_000, A1, [runs, polar])
+    return {"runs": runs.state(), "polar": polar.state()}
+
+
 def _assert_streamed_equals_savez(path, m, chunk):
     """The checkpoint of map `m`, streamed `chunk` tiles at a time, is the
     file np.savez writes from the eager copy of its tiles in tile-id order,
-    in the narrowest dtype that holds them."""
-    sections = {"grid": GridObserver(vmap=m).state(), "walk": {"n": 7}}
-    with mock.patch.object(grid, "_CHUNK_TILES", chunk):
+    in the narrowest dtype that holds them; the other sections hold every
+    kind of field a checkpoint stores, bytes with a trailing NUL included."""
+    sections = {
+        "config": {"json": b'{"rule": "a1"}\x00'},
+        "grid": GridObserver(vmap=m).state(),
+        "walk": {"n": 7},
+        **_run_and_polar_sections(),
+    }
+    with mock.patch.object(grid, "_CELL_TILES", chunk):
         checkpoint.write_checkpoint(path, bytes(32), sections)
     flat = {f"{s}/{k}": v for s, fields in sections.items() for k, v in fields.items()}
+    flat["config/json"] = np.array(np.void(flat["config/json"]))  # as "S", NULs would drop
     tiles = m._store.reshape(-1, 64 * 64)[m._slot]
     flat["grid/map_tiles"] = tiles.astype(_narrowest(tiles.max(initial=0)))
     buf = io.BytesIO()
@@ -254,6 +269,7 @@ def _assert_streamed_equals_savez(path, m, chunk):
     _, loaded = checkpoint.read_checkpoint(path)
     assert loaded["grid"]["map_tiles"].dtype == flat["grid/map_tiles"].dtype
     assert np.array_equal(loaded["grid"]["map_tiles"], flat["grid/map_tiles"])
+    assert loaded["config"]["json"] == sections["config"]["json"]
     return loaded["grid"]
 
 
@@ -283,8 +299,7 @@ class TestTilePaths:
     @settings(max_examples=200, deadline=None)
     def test_digit_counts_and_recurrence(self, first, later, mirror, chunk):
         m, oracle = _grown_map(first, later, mirror)
-        with mock.patch.object(grid, "_CHUNK_TILES", chunk), \
-                mock.patch.object(grid, "_CELL_TILES", chunk):
+        with mock.patch.object(grid, "_CELL_TILES", chunk):
             if oracle.total_visits:
                 assert recurrence_report(m) == recurrence_oracle(oracle)
             assert_same_map(m, oracle)  # digit counts, cells and items included
@@ -298,7 +313,7 @@ class TestTilePaths:
         m.record_keys(hot)
         oracle.record_keys(hot)
         assert m._store.dtype == np.int32
-        with mock.patch.object(grid, "_CHUNK_TILES", chunk):
+        with mock.patch.object(grid, "_CELL_TILES", chunk):
             assert m.leading_digit_counts().tolist() == digit_counts(z_values(oracle))
 
     def test_ties_at_the_range_ends(self):
