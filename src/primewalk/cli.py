@@ -306,7 +306,8 @@ def _add_run_flags(p: argparse.ArgumentParser):
     # only 1 is accepted: kept because the benchmark's command lines pass --threads 1
     p.add_argument(
         "--threads", type=int, default=1, choices=(1,),
-        help="ignored; the sieve forks its workers when two or more CPUs are usable",
+        help="ignored; the sieve and the rw draw fork their workers when two or more "
+        "CPUs are usable",
     )
     p.add_argument("--export-visits", action="store_true")
 

@@ -9,7 +9,8 @@ A range of at least POOL_MIN_SPAN integers is sieved in forked worker
 processes when two or more CPUs are usable: WALK_WORKERS beside a walk's
 engine, COUNT_WORKERS for a count.  Smaller ranges, one CPU and platforms
 without `fork` sieve in the calling process.  Every width yields the same
-primes.
+primes.  The pool itself, `_forked`, also draws the random walk's batches
+(`walk.run_random_walk`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import collections
 import itertools
 import math
 import os
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -101,17 +102,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _can_fork() -> bool:
+    """Whether work may go to forked workers: two or more usable CPUs and `fork`."""
+    return _usable_cpus() >= 2 and hasattr(os, "fork")
+
+
 def _forks_workers(limit: int, start: int) -> bool:
     """Whether [start, limit] is sieved in workers: not on one usable CPU,
     for a span under POOL_MIN_SPAN, or without `fork`."""
-    span = limit + 1 - max(start, 2)
-    return _usable_cpus() >= 2 and span >= POOL_MIN_SPAN and hasattr(os, "fork")
+    return limit + 1 - max(start, 2) >= POOL_MIN_SPAN and _can_fork()
 
 
-def _sieve_worker(conns, index: int, base: np.ndarray, size: int, slots) -> None:
-    """Forked worker: sieve each (lo, hi, slot) task it receives and answer
-    with the segment's walk-prime count, after writing the primes into
-    `slots[slot]` when there are slots.  An error answers with its text."""
+def _worker(conns, index: int, start_work: Callable, slots) -> None:
+    """Forked worker: answer each (*task, slot) it receives with
+    `work(*task, slots[slot])`, where `work = start_work()`; without slots
+    the last argument is None.  An error answers with its text."""
     import signal
 
     # the main process stops us; SIGINT was blocked across the fork
@@ -122,67 +127,68 @@ def _sieve_worker(conns, index: int, base: np.ndarray, size: int, slots) -> None
         main_end.close()
         if i != index:
             worker_end.close()
-    conn, buf = conns[index][1], np.empty(size, dtype=bool)
+    conn, work = conns[index][1], start_work()
     while True:
         try:
-            lo, hi, slot = conn.recv()
+            *task, slot = conn.recv()
         except (EOFError, OSError):
             return  # the main process has gone
         try:
-            first_odd, flags = _walk_flags(lo, hi, base, buf)
-            if slots is None:
-                answer = int(np.count_nonzero(flags))
-            else:
-                idx = np.flatnonzero(flags)
-                out = slots[slot, : len(idx)]
-                np.add(np.multiply(idx, 2, out=out), first_odd, out=out)
-                answer = len(idx)
+            answer = work(*task, None if slots is None else slots[slot])
         except Exception as exc:
             conn.send(f"{type(exc).__name__}: {exc}")
             raise  # and the traceback goes to stderr
         conn.send(answer)
 
 
-def _pooled(limit: int, start: int, width: int, primes: bool) -> Iterator:
-    """Each segment of [start, limit] sieved by `width` forked workers, in
-    order: a copy of its walk primes, skipped when empty, or without
-    `primes` its walk-prime count.
+def _forked(
+    start_work: Callable,
+    tasks: Iterator[tuple],
+    width: int,
+    depth: int,
+    slot: tuple[int, type] | None,
+    take: Callable,
+    describe: Callable[..., str],
+) -> Iterator:
+    """`take(task, answer, slot)` of each task in order, where `answer` is
+    `work(*task, slot)` run by one of `width` forked workers, `work` being
+    what `start_work()` returns in the worker.
 
-    Segment i goes to worker i % width and slot i % (width + 1); at most
-    width + 1 segments are in flight, so a worker has the next one to sieve
-    while the caller runs.
-    A worker that fails raises RuntimeError naming the segment.  The
+    With `slot` = (size, dtype), each task gets a slot of `size` items in an
+    anonymous shared memory map; otherwise the slot is None.  Task i goes
+    to worker i % width and slot i % depth, so at most `depth` tasks are in
+    flight.  A slot gets its next task once `take` has returned, before the
+    value is yielded: the workers run while the caller does.
+    A worker that fails raises RuntimeError naming `describe(*task)`.  The
     workers are gone when the generator ends, however it ends.
     """
     import mmap
     import multiprocessing
     import signal
 
-    size = min(SEGMENT_FLAGS, limit // 2 + 1)
-    base = base_primes(math.isqrt(limit))
-    depth = width + 1
     slots = None
-    if primes:  # anonymous and shared, made before the fork
-        shared = mmap.mmap(-1, depth * size * 8)
-        slots = np.frombuffer(shared, dtype=np.int64).reshape(depth, size)
-    # fork: a worker inherits numpy and the base primes instead of importing
-    # and sieving them again; the sieve's callers start no threads
+    if slot is not None:  # anonymous and shared, made before the fork
+        size, dtype = slot
+        shared = mmap.mmap(-1, depth * size * np.dtype(dtype).itemsize)
+        slots = np.frombuffer(shared, dtype=dtype).reshape(depth, size)
+    # fork: a worker inherits numpy and the caller's tables instead of
+    # importing and building them again; the callers start no threads
     ctx = multiprocessing.get_context("fork")
     conns = [ctx.Pipe() for _ in range(width)]
     workers = [
-        ctx.Process(target=_sieve_worker, args=(conns, i, base, size, slots), daemon=True)
+        ctx.Process(target=_worker, args=(conns, i, start_work, slots), daemon=True)
         for i in range(width)
     ]
     ends = [main_end for main_end, _ in conns]
-    segments, sent = enumerate(_bounds(limit, start)), collections.deque()
+    numbered, sent = enumerate(tasks), collections.deque()
 
     def send(count: int) -> None:
-        for i, (lo, hi) in itertools.islice(segments, count):
-            sent.append((i, lo, hi))
+        for i, task in itertools.islice(numbered, count):
+            sent.append((i, task))
             try:
-                ends[i % width].send((lo, hi, i % depth))
+                ends[i % width].send((*task, i % depth))
             except OSError:
-                pass  # the worker is gone; its answer for an earlier segment says why
+                pass  # the worker is gone; its answer for an earlier task says why
 
     try:
         # a ^C before a worker ignores SIGINT waits, and is then dropped
@@ -196,17 +202,16 @@ def _pooled(limit: int, start: int, width: int, primes: bool) -> Iterator:
             worker_end.close()
         send(depth)
         while sent:
-            i, lo, hi = sent.popleft()
+            i, task = sent.popleft()
             try:
                 answer = ends[i % width].recv()
             except (EOFError, OSError):  # a reset if it left tasks unread
                 answer = "the worker exited"
             if isinstance(answer, str):
-                raise RuntimeError(f"sieve segment [{lo}, {hi}) failed: {answer}")
-            batch = answer if slots is None else slots[i % depth, :answer].copy()
-            send(1)  # into the slot just read
-            if slots is None or answer:
-                yield batch
+                raise RuntimeError(f"{describe(*task)} failed: {answer}")
+            value = take(task, answer, None if slots is None else slots[i % depth])
+            send(1)  # into the slot just taken
+            yield value
     finally:
         # killed before their ends close, so no worker reports a broken pipe
         started = [w for w in workers if w.pid is not None]
@@ -216,6 +221,42 @@ def _pooled(limit: int, start: int, width: int, primes: bool) -> Iterator:
             w.join()
         for end in ends:
             end.close()
+
+
+def _pooled(limit: int, start: int, width: int, primes: bool) -> Iterator:
+    """Each segment of [start, limit] sieved by `width` forked workers, in
+    order: a copy of its walk primes, skipped when empty, or without
+    `primes` its walk-prime count.
+
+    At most width + 1 segments are in flight, so a worker has the next one
+    to sieve while the caller runs.
+    """
+    size = min(SEGMENT_FLAGS, limit // 2 + 1)
+    base = base_primes(math.isqrt(limit))
+
+    def start_work() -> Callable:
+        buf = np.empty(size, dtype=bool)
+
+        def sieve(lo: int, hi: int, out: np.ndarray | None) -> int:
+            first_odd, flags = _walk_flags(lo, hi, base, buf)
+            if out is None:
+                return int(np.count_nonzero(flags))
+            idx = np.flatnonzero(flags)
+            out = out[: len(idx)]
+            np.add(np.multiply(idx, 2, out=out), first_odd, out=out)
+            return len(idx)
+
+        return sieve
+
+    segments = _forked(
+        start_work, _bounds(limit, start), width, width + 1,
+        (size, np.int64) if primes else None,
+        lambda task, count, out: count if out is None else out[:count].copy(),
+        lambda lo, hi: f"sieve segment [{lo}, {hi})",
+    )
+    for batch in segments:
+        if not primes or len(batch):
+            yield batch
 
 
 def iter_walk_prime_arrays(limit: int, *, start: int = 2) -> Iterator[np.ndarray]:

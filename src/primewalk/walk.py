@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .primes import WALK_DIGITS, iter_walk_prime_arrays
+from .primes import WALK_DIGITS, _can_fork, _forked, iter_walk_prime_arrays
 
 
 class Direction(Enum):
@@ -98,6 +98,19 @@ def unpack_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
+# the origin's key plus a packed displacement of under 2^31 along each axis
+# unpacks to that displacement
+_ORIGIN = pack_xy(0, 0)
+
+
+def _displace(dk: np.ndarray, digits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each step's displacement from the batch's start, packed, in `out`: the
+    partial sums of dk[digits], the packed steps, where unsigned wrap makes
+    a sum of packed steps the packed sum."""
+    # digits < len(dk) by construction; mode="raise" would copy `out` first
+    return np.cumsum(np.take(dk, digits, out=out, mode="wrap"), out=out)
+
+
 @dataclass(frozen=True)
 class WalkState:
     """Position after `steps_taken` steps, having scanned every N <= last_n."""
@@ -134,7 +147,8 @@ class WalkObserver:
 
 class WalkSession:
     """Executes a rule-driven walk batch by batch: the prime walk `feed`s its
-    primes, the random baseline `step`s on digits of its own."""
+    primes, the random baseline `step`s on digits of its own or, drawn in a
+    forked worker, advances by the displacements the worker packed."""
 
     def __init__(
         self,
@@ -145,9 +159,8 @@ class WalkSession:
         self.rule = rule
         self.observers = list(observers)
         self.state = state or WalkState()
-        self._dx, self._dy = rule.delta_tables()
-        # unsigned wrap makes each partial sum of packed steps the packed position
-        self._dk = (self._dx.astype(np.uint64) << _SHIFT) + self._dy.astype(np.uint64)
+        dx, dy = rule.delta_tables()
+        self._dk = (dx.astype(np.uint64) << _SHIFT) + dy.astype(np.uint64)  # packed steps
         self._digits = self._keys = None  # per-batch buffers, grown to the largest batch
 
     def _grow(self, n: int) -> None:
@@ -170,19 +183,23 @@ class WalkSession:
         batch that would leave the packable range raises ValueError before
         any observer sees it.
         """
-        st, n = self.state, len(digits)
+        n = len(digits)
         if n == 0:
             return
+        self._grow(n)
+        self._advance(_displace(self._dk, digits, self._keys[:n]), primes, digits)
+
+    def _advance(self, keys: np.ndarray, primes=None, digits=None) -> None:
+        """Move by one batch whose `keys` pack each step's displacement from
+        the batch's start (see `_displace`): check the range, add the start
+        in place and notify the observers."""
+        st, n = self.state, len(keys)
         if max(abs(st.x), abs(st.y)) + n >= _OFFSET:
             # near the edge a borrow out of y would silently move x: scan exactly
-            for name, d, c0 in (("x", self._dx, st.x), ("y", self._dy, st.y)):
-                c = c0 + np.cumsum(d[digits])
-                _check_range(name, int(c.min()), int(c.max()))
-        self._grow(n)
+            moved = unpack_keys(keys + np.uint64(_ORIGIN))
+            for name, d, c0 in zip("xy", moved, (st.x, st.y)):
+                _check_range(name, c0 + int(d.min()), c0 + int(d.max()))
         key0 = pack_xy(st.x, st.y)
-        # digits < len(dk) by construction; mode="raise" would copy `out` first
-        keys = np.take(self._dk, digits, out=self._keys[:n], mode="wrap")
-        np.cumsum(keys, out=keys)
         keys += np.uint64(key0)
         for obs in self.observers:
             obs.observe(primes, None if primes is None else digits, keys, key0)
@@ -267,6 +284,28 @@ class RandomSource:
 _RW_DIGITS = np.array(WALK_DIGITS, dtype=np.uint8)
 _RW_BATCH = 1 << 16
 
+# Walks with fewer steps left are drawn in-process: a fork does not pay for
+# itself there, and the small tests and toy benchmark stay in one process.
+POOL_MIN_STEPS = 1 << 21
+# batches in the shared memory map: the one the observers read, and two the
+# worker draws meanwhile
+_RW_SLOTS = 3
+
+
+def _draw(seed: int, start: int, n: int, work: np.ndarray, digits: np.ndarray):
+    """(digits, top) of steps start, ..., start + n - 1: their digits in
+    `digits`, and the largest step index as uint64, so a negative one of a
+    replaced source reads above 3 (see `_refuse`)."""
+    index = RandomSource.block_at(seed, start, n, out=work)
+    top = int(index.view(np.uint64).max())
+    # mode="raise" would copy `out` first; _refuse stops a batch that needs it
+    return np.take(_RW_DIGITS, index, out=digits[:n], mode="wrap"), top
+
+
+def _refuse(top: int) -> None:
+    if top > 3:
+        raise ValueError("random source produced a step index outside 0..3")
+
 
 def run_random_walk(
     steps: int,
@@ -282,21 +321,46 @@ def run_random_walk(
     resuming from `state` continues the generator at index
     state.steps_taken + 1 and replays the exact tail of the uninterrupted
     sequence.  `seed` must lie in [0, 2^64); a batch holding an index
-    outside 0..3 raises ValueError.  The generator's buffers are sized to
-    the first batch, the largest, and reused for every batch.
+    outside 0..3 raises ValueError before any observer sees it.
+
+    With at least POOL_MIN_STEPS steps left, two or more usable CPUs and
+    `fork`, one forked worker draws each batch and packs its displacements
+    while the observers read the batch before it; the observers see the
+    same batches either way.
     """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} outside [0, 2^64)")
     session = WalkSession(A1, observers, state=state)
-    size = min(_RW_BATCH, max(steps - session.state.steps_taken, 0))
-    work, digits = RandomSource.workspace(size), np.empty(size, np.uint8)
-    while (taken := session.state.steps_taken) < steps:
-        n = min(_RW_BATCH, steps - taken)
-        index = RandomSource.block_at(seed, taken + 1, n, out=work)
-        # one reduction guards a replaced source (negatives view above 3);
-        # mode="raise" would copy `out` first
-        if index.view(np.uint64).max() > 3:
-            raise ValueError("random source produced a step index outside 0..3")
-        session.step(np.take(_RW_DIGITS, index, out=digits[:n], mode="wrap"))
-    del work, digits  # the observers finish without them
+    taken = session.state.steps_taken
+    blocks = ((t + 1, min(_RW_BATCH, steps - t)) for t in range(taken, steps, _RW_BATCH))
+    if steps - taken >= POOL_MIN_STEPS and _can_fork():
+
+        def start_work():
+            work, digits = RandomSource.workspace(_RW_BATCH), np.empty(_RW_BATCH, np.uint8)
+
+            def draw(start: int, n: int, out: np.ndarray) -> int:
+                batch, top = _draw(seed, start, n, work, digits)
+                _displace(session._dk, batch, out[:n])
+                return top
+
+            return draw
+
+        def advance(block, top, keys):
+            _refuse(top)
+            session._advance(keys[: block[1]])
+
+        for _ in _forked(
+            start_work, blocks, 1, _RW_SLOTS, (_RW_BATCH, np.uint64), advance,
+            lambda start, n: f"random walk steps [{start}, {start + n})",
+        ):
+            pass
+    else:
+        # buffers sized to the first batch, the largest, and reused
+        size = min(_RW_BATCH, max(steps - taken, 0))
+        work, digits = RandomSource.workspace(size), np.empty(size, np.uint8)
+        for start, n in blocks:
+            batch, top = _draw(seed, start, n, work, digits)
+            _refuse(top)
+            session.step(batch)
+        del work, digits  # the observers finish without them
     return session.finish(steps)

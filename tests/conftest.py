@@ -74,6 +74,16 @@ def sieve_pool(workers: int):
 
 
 @contextmanager
+def rw_pool(workers: int):
+    """Within the `with` block `run_random_walk` draws its batches in one
+    forked worker (`workers` = 1) however few steps are left, or with 0 (one
+    usable CPU) in-process."""
+    with mock.patch.object(primes, "_usable_cpus", return_value=2 if workers else 1), \
+            mock.patch.object(walk, "POOL_MIN_STEPS", 0):
+        yield
+
+
+@contextmanager
 def rw_batches(n: int):
     """Within the `with` block `run_random_walk` takes batches of `n` steps;
     yields a spy on `RandomSource.block_at`, called once per batch."""

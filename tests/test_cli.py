@@ -33,7 +33,7 @@ from primewalk.polar import PolarObserver
 from primewalk.runs import RunLengthObserver
 from primewalk.walk import A1, WalkState, pack_xy, run_walk
 
-from conftest import sieve_pool, sieve_segments
+from conftest import rw_batches, rw_pool, sieve_pool, sieve_segments
 
 CSV_FILES = [
     "area_series.csv",
@@ -355,6 +355,34 @@ class TestPooledSieve:
             self.walk(half, workers, flags, "walk", "--limit", "27000", "--rule", "a3")
             args = ("resume", half / "checkpoint.pwlk", "--limit", "60000")
             assert self.walk(resumed, workers, flags, *args) == direct, workers
+
+
+class TestPooledRandomWalk:
+    """An rw run's outputs are the same whether its batches are drawn in a
+    forked worker or in-process."""
+
+    OUTPUTS = ["area_series.csv", "benford.csv", "dphi_hist.csv", "summary.txt",
+               "visits.csv", "checkpoint.pwlk"]
+
+    @staticmethod
+    def walk(out, workers, *args):
+        with rw_batches(4096), rw_pool(workers):
+            assert run_cli(*args, "--export-visits", "--out", out) == EXIT_OK
+        assert multiprocessing.active_children() == []
+        return {name: (out / name).read_bytes() for name in TestPooledRandomWalk.OUTPUTS}
+
+    def test_outputs_identical_on_both_paths(self, tmp_path):
+        args = ("walk", "--rule", "rw", "--steps", "300000", "--seed", "42")
+        assert self.walk(tmp_path / "forked", 1, *args) == self.walk(tmp_path / "alone", 0, *args)
+
+    def test_resume_through_the_worker_equals_direct(self, tmp_path):
+        rw = ("walk", "--rule", "rw", "--seed", "7", "--steps")
+        direct = self.walk(tmp_path / "d", 0, *rw, "300000")
+        for workers in (0, 1):
+            half, resumed = tmp_path / f"h{workers}", tmp_path / f"r{workers}"
+            self.walk(half, workers, *rw, "130000")
+            args = ("resume", half / "checkpoint.pwlk", "--limit", "300000")
+            assert self.walk(resumed, 1, *args) == direct, workers
 
 
 class TestResume:

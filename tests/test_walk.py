@@ -1,3 +1,8 @@
+import itertools
+import multiprocessing
+import os
+import time
+from multiprocessing.connection import Connection
 from unittest import mock
 
 import numpy as np
@@ -30,6 +35,7 @@ from conftest import (
     StepObserver,
     pearson_direction,
     rw_batches,
+    rw_pool,
     sieve_segments,
     step,
     uniform_block,
@@ -240,7 +246,9 @@ class TestRunWalk:
 
 class TestBatchEntryPoints:
     """perfbench/tracer.py counts walk batches by rebinding `WalkSession.feed`
-    and `RandomSource.block_at`: one call is one batch."""
+    and `RandomSource.block_at`: one call is one batch.  A random walk whose
+    batches are drawn in a forked worker calls `block_at` there, where no
+    spy or rebinding in the main process sees it."""
 
     @pytest.mark.parametrize("resume_at", [0, 2000])
     def test_prime_walk_feeds_once_per_segment(self, resume_at):
@@ -286,19 +294,26 @@ class TestPearson:
 
     def test_rigged_source_path(self, monkeypatch):
         self.rig(monkeypatch, [0, 1, 2, 3])
-        rec = PathRecorder()
-        with rw_batches(3) as draws:
-            summary = run_random_walk(4, seed=0, observers=[rec])
-        assert draws.call_count == 2
-        assert rec.path == [(0, -1), (0, 0), (1, 0), (0, 0)]
-        assert (summary.x, summary.y) == (0, 0)
+        for workers in (0, 1):
+            rec = PathRecorder()
+            with rw_pool(workers), rw_batches(3) as draws:
+                summary = run_random_walk(4, seed=0, observers=[rec])
+            # a forked worker draws where the spy does not see it
+            assert draws.call_count == (0 if workers else 2)
+            assert rec.path == [(0, -1), (0, 0), (1, 0), (0, 0)]
+            assert (summary.x, summary.y) == (0, 0)
 
     def test_engine_rejects_out_of_range_uniform(self, monkeypatch):
         """Index 4 is floor(1.0 / 0.25), the index of a uniform outside [0, 1)."""
-        for indices in ([2, 4], [2, -1]):
-            self.rig(monkeypatch, indices)
-            with pytest.raises(ValueError, match="step index outside 0..3"):
-                run_random_walk(2, seed=0)
+        for indices, workers in itertools.product(([2, 4], [2, -1]), (0, 1)):
+            self.rig(monkeypatch, [0, 1, *indices])
+            rec = KeyRecorder()
+            with rw_pool(workers), rw_batches(2), \
+                    pytest.raises(ValueError, match="step index outside 0..3"):
+                run_random_walk(4, seed=0, observers=[rec])
+            # the batch holding it is refused before any observer sees it
+            assert len(rec.batches) == 1
+        assert multiprocessing.active_children() == []
 
     def test_zero_steps(self):
         summary = run_random_walk(0, seed=123)
@@ -397,6 +412,13 @@ class TestRangeGuard:
     def test_walk_refuses_to_leave_range(self, monkeypatch, r, start, last, axis, bad):
         monkeypatch.setattr(RandomSource, "block_at",
                             staticmethod(lambda seed, i, n, out=None: np.full(n, int(r / 0.25))))
+        for workers in (0, 1):
+            with rw_pool(workers):
+                self.refused_at_the_edge(start, last, axis, bad)
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def refused_at_the_edge(start, last, axis, bad):
         origin = WalkState(*start)
         rec, grid = PathRecorder(), GridObserver()
         edge = run_random_walk(2, 0, [rec, grid], state=origin)
@@ -421,6 +443,87 @@ class KeyRecorder(WalkObserver):
 
     def observe(self, primes, digits, keys, key0):
         self.batches.append((keys.tolist(), key0))
+
+
+class TestPooledRandomWalk:
+    """Batches drawn in a forked worker: the observers see the same batches
+    as in-process, an error names its steps, and no worker is left."""
+
+    def test_batches_identical_on_both_paths(self):
+        def batches(workers):
+            rec = KeyRecorder()
+            with rw_pool(workers), rw_batches(64):
+                mid = run_random_walk(100, 3, [rec])
+                return run_random_walk(1000, 3, [rec], state=mid), rec.batches
+
+        assert batches(1) == batches(0)
+        assert multiprocessing.active_children() == []
+
+    def test_a_batch_stays_put_while_observed(self):
+        # the worker draws at most two batches ahead, into the other slots
+        sent, real_send = [], Connection.send
+
+        def send(conn, obj):
+            sent.append(obj)
+            real_send(conn, obj)
+
+        class Slow(WalkObserver):
+            in_flight = []
+
+            def observe(self, primes, digits, keys, key0):
+                before = keys.copy()
+                self.in_flight.append(len(sent) - len(self.in_flight) - 1)
+                time.sleep(0.002)
+                assert np.array_equal(keys, before)
+
+        with rw_pool(1), rw_batches(64), mock.patch.object(Connection, "send", send):
+            run_random_walk(1000, 3, [Slow()])
+        tasks = -(-1000 // 64)
+        assert Slow.in_flight == [min(2, tasks - k - 1) for k in range(tasks)]
+        assert [slot for _, _, slot in sent] == [k % 3 for k in range(tasks)]
+
+    def test_worker_error_names_the_steps(self, monkeypatch):
+        real = RandomSource.block_at
+
+        def fails_at(seed, start, n, *, out):
+            if start == 1 + 5 * 64:
+                raise ArithmeticError("drawn out")
+            return real(seed, start, n, out=out)
+
+        monkeypatch.setattr(RandomSource, "block_at", staticmethod(fails_at))
+        match = r"random walk steps \[321, 385\) failed: ArithmeticError: drawn out"
+        with rw_pool(1), rw_batches(64), pytest.raises(RuntimeError, match=match):
+            run_random_walk(1000, 3)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_names_the_steps(self, monkeypatch):
+        real = RandomSource.block_at
+
+        def exits_at(seed, start, n, *, out):
+            if start == 1 + 3 * 64:
+                os._exit(3)
+            return real(seed, start, n, out=out)
+
+        monkeypatch.setattr(RandomSource, "block_at", staticmethod(exits_at))
+        match = r"random walk steps \[193, 257\) failed: the worker exited"
+        with rw_pool(1), rw_batches(64), pytest.raises(RuntimeError, match=match):
+            run_random_walk(1000, 3)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_observer_raises_mid_walk(self, error):
+        # KeyboardInterrupt stands for a SIGINT in the main process
+        class RaisesOnThirdBatch(WalkObserver):
+            batches = 0
+
+            def observe(self, primes, digits, keys, key0):
+                self.batches += 1
+                if self.batches == 3:
+                    raise error("stop")
+
+        with rw_pool(1), rw_batches(64), pytest.raises(error):
+            run_random_walk(1000, 3, [RaisesOnThirdBatch()])
+        assert multiprocessing.active_children() == []
 
 
 def near_edges(span):
