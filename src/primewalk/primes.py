@@ -5,12 +5,13 @@ walk consumes only primes whose last decimal digit is 1, 3, 7 or 9, i.e.
 every prime except 2 and 5; those two are filtered out here so that every
 downstream consumer sees the same stream.
 
-A range of at least POOL_MIN_SPAN integers is sieved in forked worker
-processes when two or more CPUs are usable: WALK_WORKERS beside a walk's
-engine, COUNT_WORKERS for a count.  Smaller ranges, one CPU and platforms
-without `fork` sieve in the calling process.  Every width yields the same
-primes.  The pool itself, `_forked`, also draws the random walk's batches
-(`walk.run_random_walk`).
+Every range is sieved through one driver, `_forked`, at a width that
+`_width` picks.  A range of at least POOL_MIN_SPAN integers is sieved in
+forked worker processes when two or more CPUs are usable: WALK_WORKERS
+beside a walk's engine, COUNT_WORKERS for a count.  Smaller ranges, one CPU
+and platforms without `fork` get width 0, which sieves in the calling
+process.  Every width yields the same primes.  `_forked` also draws the
+random walk's batches (`walk.run_random_walk`).
 """
 
 from __future__ import annotations
@@ -83,18 +84,6 @@ def _bounds(limit: int, start: int) -> Iterator[tuple[int, int]]:
     return ((lo, min(lo + span, limit + 1)) for lo in range(max(start, 2), limit + 1, span))
 
 
-def _segments(limit: int, start: int) -> Iterator[tuple[int, np.ndarray]]:
-    """_walk_flags of each segment [lo, hi) of [start, limit], in order;
-    every segment is sieved into one flag buffer, so its flags are valid
-    until the next segment is taken."""
-    if limit < 2 or limit < start:
-        return
-    base = base_primes(math.isqrt(limit))
-    buf = np.empty(min(SEGMENT_FLAGS, limit // 2 + 1), dtype=bool)
-    for lo, hi in _bounds(limit, start):
-        yield _walk_flags(lo, hi, base, buf)
-
-
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -102,15 +91,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _can_fork() -> bool:
-    """Whether work may go to forked workers: two or more usable CPUs and `fork`."""
-    return _usable_cpus() >= 2 and hasattr(os, "fork")
-
-
-def _forks_workers(limit: int, start: int) -> bool:
-    """Whether [start, limit] is sieved in workers: not on one usable CPU,
-    for a span under POOL_MIN_SPAN, or without `fork`."""
-    return limit + 1 - max(start, 2) >= POOL_MIN_SPAN and _can_fork()
+def _width(span: int, min_span: int, workers: int) -> int:
+    """Forked workers for a stream of tasks covering `span` integers or
+    steps: `workers`, or 0 (the calling process) for an empty span, a span
+    under `min_span`, on one usable CPU or without `fork`."""
+    forks = span >= max(min_span, 1) and _usable_cpus() >= 2 and hasattr(os, "fork")
+    return workers if forks else 0
 
 
 def _worker(conns, index: int, start_work: Callable, slots) -> None:
@@ -151,17 +137,31 @@ def _forked(
     describe: Callable[..., str],
 ) -> Iterator:
     """`take(task, answer, slot)` of each task in order, where `answer` is
-    `work(*task, slot)` run by one of `width` forked workers, `work` being
-    what `start_work()` returns in the worker.
+    `work(*task, slot)` and `work` is what `start_work()` returns.
 
-    With `slot` = (size, dtype), each task gets a slot of `size` items in an
-    anonymous shared memory map; otherwise the slot is None.  Task i goes
-    to worker i % width and slot i % depth, so at most `depth` tasks are in
-    flight.  A slot gets its next task once `take` has returned, before the
-    value is yielded: the workers run while the caller does.
-    A worker that fails raises RuntimeError naming `describe(*task)`.  The
-    workers are gone when the generator ends, however it ends.
+    Width 0 runs every task in the calling process, one at a time: `work`
+    and `take` get one array of `slot` = (size, dtype) items, or None
+    without `slot`, and `multiprocessing` and `mmap` are not imported.
+    A width of 1 or more runs `work` in that many forked workers.  With
+    `slot`, each task then gets a slot of `size` items in an anonymous
+    shared memory map.  Task i goes to worker i % width and slot i % depth,
+    so at most `depth` tasks are in flight.  A slot gets its next task once
+    `take` has returned, before the value is yielded: the workers run while
+    the caller does.  The workers are gone when the generator ends, however
+    it ends.
+    At every width a `work` that fails raises RuntimeError naming
+    `describe(*task)`; a KeyboardInterrupt is not wrapped.
     """
+    if not width:
+        work = start_work()
+        out = None if slot is None else np.empty(*slot)
+        for task in tasks:
+            try:
+                answer = work(*task, out)
+            except Exception as exc:
+                raise RuntimeError(f"{describe(*task)} failed: {type(exc).__name__}: {exc}") from exc
+            yield take(task, answer, out)
+        return
     import mmap
     import multiprocessing
     import signal
@@ -224,34 +224,38 @@ def _forked(
 
 
 def _pooled(limit: int, start: int, width: int, primes: bool) -> Iterator:
-    """Each segment of [start, limit] sieved by `width` forked workers, in
-    order: a copy of its walk primes, skipped when empty, or without
-    `primes` its walk-prime count.
+    """Each segment of [start, limit] sieved in order by `width` forked
+    workers, or at width 0 in the calling process: a new array of its walk
+    primes, skipped when empty, or without `primes` its walk-prime count.
 
-    At most width + 1 segments are in flight, so a worker has the next one
-    to sieve while the caller runs.
+    At width 0 a segment's primes are the indices `flatnonzero` returns,
+    mapped to odd N in place; a worker writes them into the segment's slot,
+    and the caller copies them out.  At most width + 1 segments are in
+    flight, so a worker has the next one to sieve while the caller runs.
     """
+    if limit < 2 or limit < start:
+        return
     size = min(SEGMENT_FLAGS, limit // 2 + 1)
     base = base_primes(math.isqrt(limit))
 
     def start_work() -> Callable:
         buf = np.empty(size, dtype=bool)
 
-        def sieve(lo: int, hi: int, out: np.ndarray | None) -> int:
+        def sieve(lo: int, hi: int, out: np.ndarray | None):
             first_odd, flags = _walk_flags(lo, hi, base, buf)
-            if out is None:
+            if not primes:
                 return int(np.count_nonzero(flags))
             idx = np.flatnonzero(flags)
-            out = out[: len(idx)]
-            np.add(np.multiply(idx, 2, out=out), first_odd, out=out)
-            return len(idx)
+            odd = idx if out is None else out[: len(idx)]
+            np.add(np.multiply(idx, 2, out=odd), first_odd, out=odd)
+            return odd if out is None else len(idx)
 
         return sieve
 
     segments = _forked(
         start_work, _bounds(limit, start), width, width + 1,
-        (size, np.int64) if primes else None,
-        lambda task, count, out: count if out is None else out[:count].copy(),
+        (size, np.int64) if primes and width else None,
+        lambda task, answer, out: answer if out is None else out[:answer].copy(),
         lambda lo, hi: f"sieve segment [{lo}, {hi})",
     )
     for batch in segments:
@@ -262,17 +266,11 @@ def _pooled(limit: int, start: int, width: int, primes: bool) -> Iterator:
 def iter_walk_prime_arrays(limit: int, *, start: int = 2) -> Iterator[np.ndarray]:
     """Yield ascending arrays of walk primes in [start, limit], one per
     segment holding any; each is a new array that the caller owns."""
-    if _forks_workers(limit, start):
-        yield from _pooled(limit, start, WALK_WORKERS, primes=True)
-        return
-    for first_odd, flags in _segments(limit, start):
-        primes = np.flatnonzero(flags)  # int64 indices, mapped to odd N in place
-        if len(primes):
-            yield np.add(np.multiply(primes, 2, out=primes), first_odd, out=primes)
+    width = _width(limit + 1 - max(start, 2), POOL_MIN_SPAN, WALK_WORKERS)
+    yield from _pooled(limit, start, width, primes=True)
 
 
 def count_walk_primes(limit: int, *, start: int = 2) -> int:
     """Number of primes in [start, limit] with terminal digit in {1, 3, 7, 9}."""
-    if _forks_workers(limit, start):
-        return sum(_pooled(limit, start, COUNT_WORKERS, primes=False))
-    return sum(int(np.count_nonzero(flags)) for _, flags in _segments(limit, start))
+    width = _width(limit + 1 - max(start, 2), POOL_MIN_SPAN, COUNT_WORKERS)
+    return sum(_pooled(limit, start, width, primes=False))

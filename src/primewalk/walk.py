@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .primes import WALK_DIGITS, _can_fork, _forked, iter_walk_prime_arrays
+from .primes import WALK_DIGITS, _forked, _width, iter_walk_prime_arrays
 
 
 class Direction(Enum):
@@ -147,8 +147,8 @@ class WalkObserver:
 
 class WalkSession:
     """Executes a rule-driven walk batch by batch: the prime walk `feed`s its
-    primes, the random baseline `step`s on digits of its own or, drawn in a
-    forked worker, advances by the displacements the worker packed."""
+    primes, `step` takes a batch of digits, and the random baseline advances
+    by the displacements its draw packed (see `run_random_walk`)."""
 
     def __init__(
         self,
@@ -284,27 +284,13 @@ class RandomSource:
 _RW_DIGITS = np.array(WALK_DIGITS, dtype=np.uint8)
 _RW_BATCH = 1 << 16
 
-# Walks with fewer steps left are drawn in-process: a fork does not pay for
-# itself there, and the small tests and toy benchmark stay in one process.
+# Walks with fewer steps left are drawn in the calling process (width 0):
+# a fork does not pay for itself there, and the small tests and toy
+# benchmark stay in one process.
 POOL_MIN_STEPS = 1 << 21
 # batches in the shared memory map: the one the observers read, and two the
 # worker draws meanwhile
 _RW_SLOTS = 3
-
-
-def _draw(seed: int, start: int, n: int, work: np.ndarray, digits: np.ndarray):
-    """(digits, top) of steps start, ..., start + n - 1: their digits in
-    `digits`, and the largest step index as uint64, so a negative one of a
-    replaced source reads above 3 (see `_refuse`)."""
-    index = RandomSource.block_at(seed, start, n, out=work)
-    top = int(index.view(np.uint64).max())
-    # mode="raise" would copy `out` first; _refuse stops a batch that needs it
-    return np.take(_RW_DIGITS, index, out=digits[:n], mode="wrap"), top
-
-
-def _refuse(top: int) -> None:
-    if top > 3:
-        raise ValueError("random source produced a step index outside 0..3")
 
 
 def run_random_walk(
@@ -323,44 +309,41 @@ def run_random_walk(
     sequence.  `seed` must lie in [0, 2^64); a batch holding an index
     outside 0..3 raises ValueError before any observer sees it.
 
-    With at least POOL_MIN_STEPS steps left, two or more usable CPUs and
-    `fork`, one forked worker draws each batch and packs its displacements
-    while the observers read the batch before it; the observers see the
-    same batches either way.
+    Each batch is drawn and its displacements packed through
+    `primes._forked`: by one forked worker, while the observers read the
+    batch before it, when at least POOL_MIN_STEPS steps are left, two or
+    more CPUs are usable and `fork` exists; otherwise (width 0) in the
+    calling process.  The observers see the same batches at either width.
     """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} outside [0, 2^64)")
     session = WalkSession(A1, observers, state=state)
     taken = session.state.steps_taken
-    blocks = ((t + 1, min(_RW_BATCH, steps - t)) for t in range(taken, steps, _RW_BATCH))
-    if steps - taken >= POOL_MIN_STEPS and _can_fork():
+    size = min(_RW_BATCH, max(steps - taken, 0))  # the first batch, the largest
 
-        def start_work():
-            work, digits = RandomSource.workspace(_RW_BATCH), np.empty(_RW_BATCH, np.uint8)
-
-            def draw(start: int, n: int, out: np.ndarray) -> int:
-                batch, top = _draw(seed, start, n, work, digits)
-                _displace(session._dk, batch, out[:n])
-                return top
-
-            return draw
-
-        def advance(block, top, keys):
-            _refuse(top)
-            session._advance(keys[: block[1]])
-
-        for _ in _forked(
-            start_work, blocks, 1, _RW_SLOTS, (_RW_BATCH, np.uint64), advance,
-            lambda start, n: f"random walk steps [{start}, {start + n})",
-        ):
-            pass
-    else:
-        # buffers sized to the first batch, the largest, and reused
-        size = min(_RW_BATCH, max(steps - taken, 0))
+    def start_work():
         work, digits = RandomSource.workspace(size), np.empty(size, np.uint8)
-        for start, n in blocks:
-            batch, top = _draw(seed, start, n, work, digits)
-            _refuse(top)
-            session.step(batch)
-        del work, digits  # the observers finish without them
+
+        def draw(start: int, n: int, out: np.ndarray) -> int:
+            """Packs the displacements of steps start, ..., start + n - 1
+            into `out`; answers with their largest step index as uint64, so
+            a negative one of a replaced source reads above 3."""
+            index = RandomSource.block_at(seed, start, n, out=work)
+            # mode="raise" would copy `out` first; `advance` refuses a batch that needs it
+            _displace(session._dk, np.take(_RW_DIGITS, index, out=digits[:n], mode="wrap"), out[:n])
+            return int(index.view(np.uint64).max())
+
+        return draw
+
+    def advance(block, top, keys):
+        if top > 3:
+            raise ValueError("random source produced a step index outside 0..3")
+        session._advance(keys[: block[1]])
+
+    blocks = ((t + 1, min(_RW_BATCH, steps - t)) for t in range(taken, steps, _RW_BATCH))
+    for _ in _forked(
+        start_work, blocks, _width(steps - taken, POOL_MIN_STEPS, 1), _RW_SLOTS,
+        (size, np.uint64), advance, lambda start, n: f"random walk steps [{start}, {start + n})",
+    ):
+        pass
     return session.finish(steps)

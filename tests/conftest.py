@@ -49,7 +49,7 @@ def sieve_segments(flags: int):
     """Within the `with` block the sieve's segments hold `flags` odd numbers;
     yields a spy whose `call_count` is the number of segments sieved.
 
-    `_segments` is a generator that reads the size on its first `next()`,
+    `_pooled` is a generator that reads the size on its first `next()`,
     so a stream must be consumed inside the block.  Plain patches, not the
     function-scoped `monkeypatch` fixture, so hypothesis tests can use it.
     """
@@ -62,7 +62,7 @@ def sieve_segments(flags: int):
 def sieve_pool(workers: int):
     """Within the `with` block a walk's stream and a count over a range of
     any span are sieved by `workers` forked workers, or with 0 (one usable
-    CPU) in-process.
+    CPU) at width 0, in the calling process.
 
     Like `sieve_segments`, a stream must be consumed inside the block.
     """
@@ -77,7 +77,7 @@ def sieve_pool(workers: int):
 def rw_pool(workers: int):
     """Within the `with` block `run_random_walk` draws its batches in one
     forked worker (`workers` = 1) however few steps are left, or with 0 (one
-    usable CPU) in-process."""
+    usable CPU) at width 0, in the calling process."""
     with mock.patch.object(primes, "_usable_cpus", return_value=2 if workers else 1), \
             mock.patch.object(walk, "POOL_MIN_STEPS", 0):
         yield

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from primewalk import primes
+from primewalk import primes, walk
 from primewalk.primes import base_primes, count_walk_primes, iter_walk_prime_arrays
-from primewalk.walk import A1, WalkObserver, run_walk
+from primewalk.walk import A1, WalkObserver, WalkState, run_random_walk, run_walk
 
 from conftest import (
     iter_events,
@@ -144,18 +144,18 @@ def pooled_batches(limit, workers, flags):
 
 class TestSievePool:
     @pytest.mark.parametrize("flags", [64, 4096])
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_batches_identical_across_widths(self, workers, flags):
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_batches_identical_across_widths(self, width, flags):
         alone = pooled_batches(60_000, 0, flags)
-        pooled = pooled_batches(60_000, workers, flags)
+        pooled = pooled_batches(60_000, width, flags)
         assert len(pooled) == len(alone) == len(range(2, 60_001, 2 * flags))
         assert all(np.array_equal(a, b) for a, b in zip(alone, pooled))
         assert all(a.dtype == b.dtype for a, b in zip(alone, pooled))
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_count_identical_across_widths(self, workers):
-        with sieve_segments(64), sieve_pool(workers):
+    @pytest.mark.parametrize("width", [0, 1, 2, 3])
+    def test_count_identical_across_widths(self, width):
+        with sieve_segments(64), sieve_pool(width):
             assert count_walk_primes(10**5) == 9590  # pi(1e5) - 2
             assert count_walk_primes(10**5, start=50_001) == 9590 - 5131
             assert count_walk_primes(1) == 0
@@ -194,26 +194,38 @@ class TestSievePool:
 
     def test_width_is_capped(self, monkeypatch):
         # the widths measured to pay, however many CPUs are usable; `_pooled`
-        # is stubbed, so no process is started
-        calls = []
+        # and the walk's `_forked` are stubbed, so no process is started
+        calls, widths = [], []
         monkeypatch.setattr(primes, "_pooled", lambda *args, **kw: calls.append(args) or iter(()))
+        monkeypatch.setattr(walk, "_forked", lambda *args: widths.append(args[2]) or iter(()))
         monkeypatch.setattr(primes, "_usable_cpus", lambda: 64)
         assert (primes.WALK_WORKERS, primes.COUNT_WORKERS) == (1, 2)
         assert list(iter_walk_prime_arrays(10**12)) == []
         assert count_walk_primes(10**12, start=10**11) == 0
-        assert calls == [(10**12, 2, 1), (10**12, 10**11, 2)]
         # a range under the minimum span, such as the README's 1e7 walk
         assert primes.POOL_MIN_SPAN > 10**7
-        assert not primes._forks_workers(10**7, 2)
-        assert not primes._forks_workers(10**12, 10**12 - 10**7)
-        assert primes._forks_workers(10**12, 10**12 - primes.POOL_MIN_SPAN + 1)
+        assert list(iter_walk_prime_arrays(10**7)) == []
+        count_walk_primes(10**12, start=10**12 - primes.POOL_MIN_SPAN + 1)
+        count_walk_primes(10**12, start=10**12 - primes.POOL_MIN_SPAN + 2)
+        assert calls == [
+            (10**12, 2, 1), (10**12, 10**11, 2), (10**7, 2, 0),
+            (10**12, 10**12 - primes.POOL_MIN_SPAN + 1, 2),
+            (10**12, 10**12 - primes.POOL_MIN_SPAN + 2, 0),
+        ]
+        # the random walk: one worker from POOL_MIN_STEPS steps left
+        run_random_walk(walk.POOL_MIN_STEPS, 0)
+        run_random_walk(walk.POOL_MIN_STEPS, 0, state=WalkState(steps_taken=1))
+        assert widths == [1, 0]
+        # an empty span needs no worker, whatever the minimum
+        assert primes._width(0, 0, 3) == primes._width(-5, 0, 3) == 0
+        assert primes._width(1, 0, 3) == 3
         monkeypatch.setattr(primes, "_usable_cpus", lambda: 1)
-        assert not primes._forks_workers(10**12, 2)
+        assert primes._width(10**12, primes.POOL_MIN_SPAN, 2) == 0
 
     def test_width_without_fork_is_in_process(self, monkeypatch):
         monkeypatch.setattr(primes, "_usable_cpus", lambda: 8)
         monkeypatch.delattr(os, "fork")
-        assert not primes._forks_workers(10**12, 2)
+        assert primes._width(10**12, primes.POOL_MIN_SPAN, 2) == 0
 
     def test_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
@@ -261,6 +273,7 @@ class TestSievePoolEnds:
         assert multiprocessing.active_children() == []
 
     def test_worker_error_names_the_segment(self):
+        # at width 0 the calling process sieves, and raises the same error
         real = primes._walk_flags
 
         def fails_at(lo, hi, base, buf):
@@ -268,12 +281,17 @@ class TestSievePoolEnds:
                 raise ValueError("struck out")
             return real(lo, hi, base, buf)
 
-        with sieve_segments(64), sieve_pool(2), \
-                mock.patch.object(primes, "_walk_flags", fails_at):
-            with pytest.raises(RuntimeError, match=r"sieve segment \[642, 770\).*ValueError: struck out"):
-                list(iter_walk_prime_arrays(50_000))
-            with pytest.raises(RuntimeError, match=r"sieve segment \[642, 770\)"):
-                count_walk_primes(50_000)
+        for width in (0, 2):
+            with sieve_segments(64), sieve_pool(width), \
+                    mock.patch.object(primes, "_walk_flags", fails_at):
+                with pytest.raises(RuntimeError, match=r"sieve segment \[642, 770\).*ValueError: struck out"):
+                    list(iter_walk_prime_arrays(50_000))
+                with pytest.raises(RuntimeError, match=r"sieve segment \[642, 770\)"):
+                    count_walk_primes(50_000)
+        # a ^C while the calling process sieves is not a failed segment
+        with sieve_segments(64), sieve_pool(0), pytest.raises(KeyboardInterrupt), \
+                mock.patch.object(primes, "_walk_flags", side_effect=KeyboardInterrupt):
+            count_walk_primes(50_000)
         assert multiprocessing.active_children() == []
 
     def test_worker_exit_names_the_segment(self):

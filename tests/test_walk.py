@@ -1,4 +1,3 @@
-import itertools
 import multiprocessing
 import os
 import time
@@ -28,6 +27,7 @@ from primewalk.walk import (
     pack_xy,
     run_random_walk,
     run_walk,
+    unpack_keys,
 )
 
 from conftest import (
@@ -292,23 +292,24 @@ class TestPearson:
         monkeypatch.setattr(RandomSource, "block_at",
                             staticmethod(lambda seed, i, n, out=None: ks[i - 1 : i - 1 + n]))
 
-    def test_rigged_source_path(self, monkeypatch):
+    @pytest.mark.parametrize("width", [0, 1])
+    def test_rigged_source_path(self, monkeypatch, width):
         self.rig(monkeypatch, [0, 1, 2, 3])
-        for workers in (0, 1):
-            rec = PathRecorder()
-            with rw_pool(workers), rw_batches(3) as draws:
-                summary = run_random_walk(4, seed=0, observers=[rec])
-            # a forked worker draws where the spy does not see it
-            assert draws.call_count == (0 if workers else 2)
-            assert rec.path == [(0, -1), (0, 0), (1, 0), (0, 0)]
-            assert (summary.x, summary.y) == (0, 0)
+        rec = PathRecorder()
+        with rw_pool(width), rw_batches(3) as draws:
+            summary = run_random_walk(4, seed=0, observers=[rec])
+        # a forked worker draws where the spy does not see it
+        assert draws.call_count == (0 if width else 2)
+        assert rec.path == [(0, -1), (0, 0), (1, 0), (0, 0)]
+        assert (summary.x, summary.y) == (0, 0)
 
-    def test_engine_rejects_out_of_range_uniform(self, monkeypatch):
+    @pytest.mark.parametrize("width", [0, 1])
+    def test_engine_rejects_out_of_range_uniform(self, monkeypatch, width):
         """Index 4 is floor(1.0 / 0.25), the index of a uniform outside [0, 1)."""
-        for indices, workers in itertools.product(([2, 4], [2, -1]), (0, 1)):
+        for indices in ([2, 4], [2, -1]):
             self.rig(monkeypatch, [0, 1, *indices])
             rec = KeyRecorder()
-            with rw_pool(workers), rw_batches(2), \
+            with rw_pool(width), rw_batches(2), \
                     pytest.raises(ValueError, match="step index outside 0..3"):
                 run_random_walk(4, seed=0, observers=[rec])
             # the batch holding it is refused before any observer sees it
@@ -352,17 +353,18 @@ class TestRandomSource:
     @pytest.mark.parametrize("start", START_EXTREMES)
     @pytest.mark.parametrize("seed", SEED_EXTREMES)
     def test_engine_digits_match_uniform_oracle(self, seed, start):
-        n, seen = 1 << 16, []
-        step = WalkSession.step
-
-        def record(session, digits, primes=None):
-            seen.append(digits.copy())
-            step(session, digits, primes)
-
-        with mock.patch.object(WalkSession, "step", record):
-            run_random_walk(start - 1 + n, seed, state=WalkState(steps_taken=start - 1))
+        # each step's key delta is its A1 direction, and so its digit
+        n, rec = 1 << 16, KeyRecorder()
+        digit_of = {direction.value: d for d, direction in A1.mapping}
         index = np.floor(uniform_block(seed, start, n) / 0.25).astype(np.int64)
-        assert np.array_equal(np.concatenate(seen), np.array(WALK_DIGITS)[index])
+        for width in (0, 1):
+            rec.batches.clear()
+            with rw_pool(width):
+                run_random_walk(start - 1 + n, seed, [rec], state=WalkState(steps_taken=start - 1))
+            (keys, key0), = rec.batches
+            xs, ys = unpack_keys(np.array([key0, *keys], dtype=np.uint64))
+            digits = [digit_of[step] for step in zip(np.diff(xs).tolist(), np.diff(ys).tolist())]
+            assert digits == np.array(WALK_DIGITS)[index].tolist(), width
 
     @pytest.mark.parametrize("remaining", [63, 64, 150])
     def test_resume_ends_on_direct_path(self, remaining):
@@ -409,12 +411,12 @@ class TestRangeGuard:
         (0.5, (EDGE - 3, 5), (EDGE - 1, 5), "x", EDGE),  # RIGHT
         (0.75, (-EDGE + 2, 5), (-EDGE, 5), "x", -EDGE - 1),  # LEFT
     ])
-    def test_walk_refuses_to_leave_range(self, monkeypatch, r, start, last, axis, bad):
+    @pytest.mark.parametrize("width", [0, 1])
+    def test_walk_refuses_to_leave_range(self, monkeypatch, r, start, last, axis, bad, width):
         monkeypatch.setattr(RandomSource, "block_at",
                             staticmethod(lambda seed, i, n, out=None: np.full(n, int(r / 0.25))))
-        for workers in (0, 1):
-            with rw_pool(workers):
-                self.refused_at_the_edge(start, last, axis, bad)
+        with rw_pool(width):
+            self.refused_at_the_edge(start, last, axis, bad)
         assert multiprocessing.active_children() == []
 
     @staticmethod
@@ -446,17 +448,22 @@ class KeyRecorder(WalkObserver):
 
 
 class TestPooledRandomWalk:
-    """Batches drawn in a forked worker: the observers see the same batches
-    as in-process, an error names its steps, and no worker is left."""
+    """Batches drawn at every width: the observers see the batches of the
+    step-by-digits oracle, an error names its steps, and no worker is left."""
 
-    def test_batches_identical_on_both_paths(self):
-        def batches(workers):
-            rec = KeyRecorder()
-            with rw_pool(workers), rw_batches(64):
-                mid = run_random_walk(100, 3, [rec])
-                return run_random_walk(1000, 3, [rec], state=mid), rec.batches
-
-        assert batches(1) == batches(0)
+    @pytest.mark.parametrize("width", [0, 1])
+    def test_batches_identical_on_both_paths(self, width):
+        rec, oracle = KeyRecorder(), KeyRecorder()
+        with rw_pool(width), rw_batches(64):
+            mid = run_random_walk(100, 3, [rec])
+            end = run_random_walk(1000, 3, [rec], state=mid)
+        # the draw as `WalkSession.step` on the digits the indices pick
+        session, work = WalkSession(A1, [oracle]), RandomSource.workspace(64)
+        for t in [*range(0, 100, 64), *range(100, 1000, 64)]:
+            n = min(64, (100 if t < 100 else 1000) - t)
+            session.step(np.array(WALK_DIGITS, np.uint8)[RandomSource.block_at(3, t + 1, n, out=work)])
+        assert rec.batches == oracle.batches
+        assert end == session.finish(1000)
         assert multiprocessing.active_children() == []
 
     def test_a_batch_stays_put_while_observed(self):
@@ -483,6 +490,7 @@ class TestPooledRandomWalk:
         assert [slot for _, _, slot in sent] == [k % 3 for k in range(tasks)]
 
     def test_worker_error_names_the_steps(self, monkeypatch):
+        # at width 0 the calling process draws, and raises the same error
         real = RandomSource.block_at
 
         def fails_at(seed, start, n, *, out):
@@ -492,8 +500,9 @@ class TestPooledRandomWalk:
 
         monkeypatch.setattr(RandomSource, "block_at", staticmethod(fails_at))
         match = r"random walk steps \[321, 385\) failed: ArithmeticError: drawn out"
-        with rw_pool(1), rw_batches(64), pytest.raises(RuntimeError, match=match):
-            run_random_walk(1000, 3)
+        for width in (0, 1):
+            with rw_pool(width), rw_batches(64), pytest.raises(RuntimeError, match=match):
+                run_random_walk(1000, 3)
         assert multiprocessing.active_children() == []
 
     def test_worker_exit_names_the_steps(self, monkeypatch):
