@@ -1,51 +1,52 @@
-"""Prime-digit lattice walks: sieve, walk engine and statistics."""
+"""Prime-digit lattice walks: sieve, walk engine and statistics.
 
-from .benford import benford_table
-from .fitting import FitResult, fit_area_growth, linear_fit
-from .grid import AreaSeries, GridObserver, VisitMap, recurrence_report
-from .polar import PolarObserver, delta_phi_histogram
-from .primes import base_primes, count_walk_primes, iter_walk_prime_arrays
-from .runs import short_run_fraction
-from .walk import (
-    RULES,
-    A1,
-    A2,
-    A3,
-    Direction,
-    RandomSource,
-    WalkObserver,
-    WalkRule,
-    WalkState,
-    run_random_walk,
-    run_walk,
-)
+The public names are imported from their modules on first use (PEP 562),
+so `import primewalk` loads no numpy; `primewalk.cli` relies on that to
+configure numpy's BLAS before it loads.
+"""
 
-__all__ = [
-    "A1",
-    "A2",
-    "A3",
-    "AreaSeries",
-    "Direction",
-    "FitResult",
-    "GridObserver",
-    "PolarObserver",
-    "RULES",
-    "RandomSource",
-    "VisitMap",
-    "WalkObserver",
-    "WalkRule",
-    "WalkState",
-    "base_primes",
-    "benford_table",
-    "count_walk_primes",
-    "delta_phi_histogram",
-    "fit_area_growth",
-    "iter_walk_prime_arrays",
-    "linear_fit",
-    "recurrence_report",
-    "run_random_walk",
-    "run_walk",
-    "short_run_fraction",
-]
+from importlib import import_module
+
+_MODULE = {
+    "benford_table": "benford",
+    "FitResult": "fitting",
+    "fit_area_growth": "fitting",
+    "linear_fit": "fitting",
+    "AreaSeries": "grid",
+    "GridObserver": "grid",
+    "VisitMap": "grid",
+    "recurrence_report": "grid",
+    "PolarObserver": "polar",
+    "delta_phi_histogram": "polar",
+    "base_primes": "primes",
+    "count_walk_primes": "primes",
+    "iter_walk_prime_arrays": "primes",
+    "short_run_fraction": "runs",
+    "RULES": "walk",
+    "A1": "walk",
+    "A2": "walk",
+    "A3": "walk",
+    "Direction": "walk",
+    "RandomSource": "walk",
+    "WalkObserver": "walk",
+    "WalkRule": "walk",
+    "WalkState": "walk",
+    "run_random_walk": "walk",
+    "run_walk": "walk",
+}
+
+__all__ = sorted(_MODULE)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -6,10 +6,17 @@ import argparse
 import hashlib
 import json
 import operator
+import os
 import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+
+# Before numpy loads: nothing in primewalk calls BLAS (no dot, matmul or
+# linalg), and OpenBLAS starts nproc - 1 threads at load that spin before
+# they sleep, about 0.13 s of CPU a run on two cores.  A value the user set
+# is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -296,26 +296,53 @@ def recurrence_report(vmap: VisitMap) -> RecurrenceReport:
 
     Argmax ties break by distance to the origin, then by (x, y)
     lexicographic order.  Quadrants are strict interiors; cells on the axes
-    and the origin are tallied separately.  The map is read once, as the
-    stream of its occupied cells.
+    and the origin are tallied separately.
+
+    The map is read tile by tile, _CELL_TILES store rows at a time, for
+    each tile's occupied cells and largest count.  Tile edges fall on the
+    axes (2^31 is a multiple of 64), so a tile whose first column is not
+    x = 0 and whose first row is not y = 0 lies in one quadrant; only the
+    tiles on an axis, and the tiles that hold z_max, are read cell by cell.
     """
     if vmap.total_visits == 0:
         raise ValueError("recurrence report needs at least one recorded step")
-    zmax, best = 1, None  # best: (x^2 + y^2, x, y) of the argmax so far
+    n = len(vmap._ids)
+    used = vmap._store[:n]
+    row_ids = np.empty_like(vmap._ids)
+    row_ids[vmap._slot] = vmap._ids  # the tile id of each store row
+    x0, y0 = unpack_keys(row_ids)  # each row's first cell
+    occupied = np.empty(n, dtype=np.int64)
+    top = np.empty(n, dtype=used.dtype)
+    for a in range(0, n, _CELL_TILES):
+        rows = used[a : a + _CELL_TILES]
+        occupied[a : a + len(rows)] = np.count_nonzero(rows, axis=1)
+        top[a : a + len(rows)] = rows.max(axis=1)
+
     tally = np.zeros(9, dtype=np.int64)  # occupied cells at 3 sign(x) + sign(y) + 4
-    for keys, counts in vmap._cell_chunks():
-        xs, ys = unpack_keys(keys)
-        top = int(counts.max(initial=0))
-        if top >= zmax:
-            at = counts == top
-            x, y = xs[at], ys[at]
-            # x^2 + y^2 <= 2^63 is exact in uint64, not in int64
-            d2 = np.square(np.abs(x).astype(np.uint64)) + np.square(np.abs(y).astype(np.uint64))
-            i = np.lexsort((y, x, d2))[0]
-            here = (int(d2[i]), int(x[i]), int(y[i]))
-            if best is None or top > zmax or here < best:
-                zmax, best = top, here
-        tally += np.bincount(3 * np.sign(xs) + np.sign(ys) + 4, minlength=9)
+    on_axis = (x0 == 0) | (y0 == 0)
+    inner = ~on_axis
+    np.add.at(tally, 3 * np.sign(x0[inner]) + np.sign(y0[inner]) + 4, occupied[inner])
+    for r in np.flatnonzero(on_axis):
+        # the first column (row) of a tile at x = 0 (y = 0) is on the axis,
+        # the rest on its positive side: count the cells in those 2 x 2 parts
+        z = used[r].reshape(_SIDE, _SIDE)
+        parts = [[z[:1, :1], z[:1, 1:]], [z[1:, :1], z[1:, 1:]]]
+        where = 3 * np.sign(x0[r] + np.arange(2))[:, None] + np.sign(y0[r] + np.arange(2)) + 4
+        np.add.at(tally, where, [[np.count_nonzero(p) for p in row] for row in parts])
+
+    zmax = int(top.max())
+    best = None  # (x^2 + y^2, x, y) of the argmax so far
+    tied = np.flatnonzero(top == zmax)
+    for a in range(0, len(tied), _CELL_TILES):
+        rows = tied[a : a + _CELL_TILES]
+        tile, offset = np.nonzero(used[rows] == zmax)
+        lx, ly = np.divmod(offset, _SIDE)
+        x, y = x0[rows[tile]] + lx, y0[rows[tile]] + ly
+        # x^2 + y^2 <= 2^63 is exact in uint64, not in int64
+        d2 = np.square(np.abs(x).astype(np.uint64)) + np.square(np.abs(y).astype(np.uint64))
+        i = np.lexsort((y, x, d2))[0]
+        here = (int(d2[i]), int(x[i]), int(y[i]))
+        best = here if best is None else min(best, here)
     t = tally.reshape(3, 3)
     _, bx, by = best
     return RecurrenceReport(

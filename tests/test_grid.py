@@ -580,6 +580,19 @@ class TestRecurrence:
         rep = recurrence_report(m)
         assert (rep.argmax_x, rep.argmax_y) == (1, 0)
 
+    @pytest.mark.parametrize("tied, winner", [
+        ([(0, 5), (-3, -4)], (-3, -4)),  # the axis tile's cell loses on x
+        ([(-65, 0), (-63, -16)], (-65, 0)),  # the axis tile's cell wins on x
+        ([(1, 0), (-40, -90)], (1, 0)),  # the axis tile's cell wins on distance
+    ])
+    def test_ties_in_two_tiles_one_on_an_axis(self, tied, winner):
+        m = VisitMap()
+        m.record_keys(_keys(tied * 3 + [(2, 2), (-100, 7)]))
+        assert len(m.state()["tile_ids"]) == 3
+        rep = recurrence_report(m)
+        assert (rep.argmax_x, rep.argmax_y, rep.z_max) == (*winner, 3)
+        assert rep == recurrence_oracle(m)
+
     def test_empty_map_rejected(self):
         with pytest.raises(ValueError):
             recurrence_report(VisitMap())

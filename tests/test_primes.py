@@ -351,3 +351,28 @@ def test_cli_import_leaves_the_pool_modules_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def cli_import(**blas):
+    """OPENBLAS_NUM_THREADS and the thread count after `import primewalk.cli`
+    in a fresh interpreter whose environment sets the variable to `blas`."""
+    code = textwrap.dedent("""\
+        import os, sys, primewalk.cli
+        tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else None
+        print(os.environ.get("OPENBLAS_NUM_THREADS"), tasks)
+    """)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(blas, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def test_cli_import_starts_no_blas_threads():
+    value, tasks = cli_import()
+    assert value == "1"
+    if sys.platform == "linux":
+        assert tasks == "1"
+
+
+def test_cli_import_keeps_the_users_blas_threads():
+    assert cli_import(OPENBLAS_NUM_THREADS="2")[0] == "2"
