@@ -4,7 +4,8 @@ npz archive of "section/field" arrays, up to the end of the file.  The
 header's size and CRC checks, and the size each array header declares,
 pass before the payload is loaded.  The payload streams through the file
 in both directions: a write holds one chunk of a `ChunkedArray` at a
-time, and a read holds no second copy of the arrays it loads."""
+time, and a read holds no second copy of the arrays it loads: each is an
+array that owns its memory, which a reader may adopt."""
 
 import math
 import os
@@ -73,7 +74,20 @@ def _encode(name: str, v) -> np.ndarray:
 
 
 def _decode(a: np.ndarray):
-    return a.tobytes() if a.dtype.kind == "V" else a.item() if a.ndim == 0 else a
+    if a.dtype.kind == "V":
+        return a.tobytes()
+    if a.ndim == 0:
+        return a.item()
+    # np.load may return a reshaped view of the flat array it read into: hand
+    # out that array itself, in place in the shape, which a reader can adopt
+    owner = a.base
+    if (
+        isinstance(owner, np.ndarray) and owner.flags.owndata and a.flags.c_contiguous
+        and (owner.dtype, owner.size) == (a.dtype, a.size)
+    ):
+        owner.resize(a.shape)  # the same bytes: nothing is copied or moved
+        return owner
+    return a
 
 
 def _write_npz(fh, arrays: dict) -> None:

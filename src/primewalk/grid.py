@@ -209,6 +209,9 @@ class VisitMap:
 
     @classmethod
     def from_state(cls, state: dict) -> "VisitMap":
+        """The map of `state()`'s arrays.  `tiles` is adopted, not copied,
+        when it is a writeable C-ordered array in the store's dtype that
+        owns its memory: the caller then keeps no view of it."""
         ids, tiles = np.asarray(state["tile_ids"]), np.asarray(state["tiles"])
         if ids.dtype != np.uint64 or ids.ndim != 1:
             raise ValueError(f"tile ids must be a uint64 vector, got {ids.dtype} {ids.shape}")
@@ -221,8 +224,12 @@ class VisitMap:
             raise ValueError(f"a visit count lies outside [0, {_COUNT_MAX}]")
         m = cls()
         m._ids, m._slot = ids, np.arange(len(ids), dtype=np.int64)
-        # in the store's dtype, in an array the map owns: _reserve resizes it
-        m._store = np.array(tiles, dtype=_narrowest(z_max))
+        # in the store's dtype, in an array the map owns: _reserve resizes it.
+        # An array that already is one, as read_checkpoint's tiles are, is
+        # adopted, so the restored map holds the only copy of the tiles
+        dtype, f = _narrowest(z_max), tiles.flags
+        adopt = tiles.dtype == dtype and f.owndata and f.c_contiguous and f.writeable
+        m._store = tiles if adopt else np.array(tiles, dtype=dtype)
         m._cells = np.count_nonzero(m._store)
         m._total = int(m._store.sum(dtype=np.int64))
         return m

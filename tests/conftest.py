@@ -39,6 +39,46 @@ def walk_primes_oracle(limit):
     return [p for p in trial_division_primes(limit) if p not in (2, 5)]
 
 
+def odd_walk_flags(lo: int, hi: int, base: np.ndarray, buf: np.ndarray) -> tuple[int, np.ndarray]:
+    """The segment sieve over odd numbers that the 6k + 1, 6k + 5 sieve
+    replaced, kept as its oracle: walk-prime flags for the odd numbers >= 3
+    in [lo, hi).
+
+    Returns (first_odd, flags) where flags[i] corresponds to first_odd + 2*i;
+    5 is cleared.  `base` includes every odd prime <= floor(sqrt(hi - 1)),
+    after a first entry that is skipped (2), and the flags are a view of
+    `buf`, valid until its next use.
+    """
+    first_odd = max(lo, 3) | 1
+    count = (hi - first_odd + 1) // 2
+    if count <= 0:
+        return first_odd, buf[:0]
+    flags = buf[:count]
+    flags.fill(True)
+    # base[0] is 2; strike each odd base prime p with p * p < hi from its
+    # first odd multiple that is >= max(p * p, lo)
+    ps = base[1 : np.searchsorted(base, math.isqrt(hi - 1), side="right")]
+    start = np.maximum(ps * ps, -(-lo // ps) * ps)
+    start += ps * (start % 2 == 0)
+    live = start < hi
+    offsets = ((start[live] - first_odd) // 2).tolist()
+    for s, p in zip(offsets, ps[live].tolist()):
+        flags[s::p] = False
+    if lo <= 5 < hi:
+        flags[(5 - first_odd) // 2] = False
+    return first_odd, flags
+
+
+def odd_sieve_primes(limit: int, start: int = 2) -> list:
+    """Walk primes in [start, limit] by `odd_walk_flags`, in one segment over
+    base primes found by trial division."""
+    lo, hi = max(start, 2), limit + 1
+    base = np.array(trial_division_primes(math.isqrt(max(limit, 0))), dtype=np.int64)
+    buf = np.empty(max(hi - lo, 0) // 2 + 1, dtype=bool)
+    first_odd, flags = odd_walk_flags(lo, hi, base, buf)
+    return (first_odd + 2 * np.flatnonzero(flags)).tolist()
+
+
 class PrimeDigitEvent(NamedTuple):
     prime: int
     digit: int
@@ -46,8 +86,9 @@ class PrimeDigitEvent(NamedTuple):
 
 @contextmanager
 def sieve_segments(flags: int):
-    """Within the `with` block the sieve's segments hold `flags` odd numbers;
-    yields a spy whose `call_count` is the number of segments sieved.
+    """Within the `with` block the sieve's segments hold `flags` flags, for
+    the numbers 6k + 1 and 6k + 5 among 3 * flags integers; yields a spy
+    whose `call_count` is the number of segments sieved.
 
     `_pooled` is a generator that reads the size on its first `next()`,
     so a stream must be consumed inside the block.  Plain patches, not the

@@ -411,6 +411,23 @@ class TestResume:
                      "summary.txt", "checkpoint.pwlk"]:
             assert (direct / name).read_bytes() == (resumed / name).read_bytes(), name
 
+    def test_resume_holds_one_copy_of_the_tiles(self, tmp_path):
+        # read_checkpoint returns tiles that own their memory and the map
+        # adopts them: the whole resume, read, restore, walk and outputs,
+        # peaks at one copy of the tiles and the reads' fixed buffers
+        half, resumed = tmp_path / "h", tmp_path / "r"
+        run_cli("walk", "--rule", "rw", "--steps", "1e7", "--seed", "25", "--out", half)
+        path = half / "checkpoint.pwlk"
+        tiles = read_checkpoint(path)[1]["grid"]["map_tiles"]
+        assert tiles.flags.owndata and tiles.nbytes > 4 * 2**20
+        tracemalloc.start()
+        try:
+            assert run_cli("resume", path, "--limit", 10**7 + 100, "--out", resumed) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < tiles.nbytes + 3 * 2**19, (peak, tiles.nbytes)
+
     def test_resume_visits_export_without_a_grid_refused(self, tmp_path, capsys, monkeypatch):
         half = tmp_path / "h"
         run_cli("walk", "--limit", "1000", "--analyses", "runs", "--out", half)

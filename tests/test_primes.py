@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import os
 import signal
@@ -19,6 +20,7 @@ from primewalk.walk import A1, WalkObserver, WalkState, run_random_walk, run_wal
 
 from conftest import (
     iter_events,
+    odd_sieve_primes,
     sieve_pool,
     sieve_segments,
     trial_division_primes,
@@ -26,11 +28,15 @@ from conftest import (
 )
 
 
+def stream(limit, start=2):
+    """The engine's walk primes in [start, limit], joined into one list."""
+    return [p for arr in iter_walk_prime_arrays(limit, start=start) for p in arr.tolist()]
+
+
 def walk_primes_in(lo, hi):
-    """Walk primes in [lo, hi) from the engine, over segments of 8 odd numbers."""
+    """Walk primes in [lo, hi) from the engine, over segments of 8 flags (24 integers)."""
     with sieve_segments(8):
-        arrays = iter_walk_prime_arrays(hi - 1, start=lo)
-        return [p for arr in arrays for p in arr.tolist()]
+        return stream(hi - 1, lo)
 
 
 class TestBasePrimes:
@@ -65,6 +71,65 @@ class TestSieveSegment:
             assert walk_primes_in(lo, hi) == expect
 
 
+# lo or hi of a range on 6k, 6k + 1 and 6k + 5, for k at and beside the
+# first segment's, and 2, 3 and 4
+EDGES = sorted({2, 3, 4} | {6 * k + r for k in (0, 1, 2, 3, 50, 997) for r in (0, 1, 5)})
+
+
+class TestWheelMatchesOddSieve:
+    """The 6k + 1, 6k + 5 sieve finds the primes and counts of the odd-only
+    sieve it replaced, `conftest.odd_walk_flags`."""
+
+    def test_every_limit_and_start_to_300(self):
+        oracle = odd_sieve_primes(300)
+        for limit in range(301):
+            for start in range(limit + 2):
+                expect = [p for p in oracle if start <= p <= limit]
+                assert stream(limit, start) == expect, (limit, start)
+                assert count_walk_primes(limit, start=start) == len(expect), (limit, start)
+
+    @pytest.mark.parametrize("flags", [16, 64, 1024])
+    def test_ends_on_each_class(self, flags):
+        oracle = odd_sieve_primes(EDGES[-1])
+        with sieve_segments(flags):
+            for lo, hi in itertools.combinations(EDGES, 2):
+                expect = [p for p in oracle if lo <= p < hi]
+                assert stream(hi - 1, lo) == expect, (lo, hi)
+                assert count_walk_primes(hi - 1, start=lo) == len(expect), (lo, hi)
+
+    def test_flags_map_to_n(self):
+        # flag i stands for N = 3i + (i & 1) + 6k0 + 1; 3 is the caller's
+        base, buf = base_primes(100), np.empty(2 * EDGES[-1], dtype=bool)
+        oracle = odd_sieve_primes(EDGES[-1])
+        for lo, hi in itertools.combinations(EDGES, 2):
+            k0, flags = primes._walk_flags(lo, hi, base, buf)
+            assert k0 == lo // 6 and len(flags) == 2 * ((hi - 1) // 6 - k0 + 1)
+            i = np.flatnonzero(flags)
+            found = (3 * i + (i & 1) + 6 * k0 + 1).tolist()
+            assert found == [p for p in oracle if lo <= p < hi and p != 3], (lo, hi)
+
+    @pytest.mark.parametrize("width", [0, 1])
+    def test_ranges_holding_three_or_five(self, width):
+        oracle = odd_sieve_primes(400)
+        with sieve_segments(16), sieve_pool(width):
+            for start, limit in itertools.product(range(7), (3, 4, 5, 6, 47, 48, 49, 400)):
+                expect = [p for p in oracle if start <= p <= limit]
+                assert stream(limit, start) == expect, (start, limit)
+                assert count_walk_primes(limit, start=start) == len(expect), (start, limit)
+        assert multiprocessing.active_children() == []
+
+    def test_pooled_from_an_unaligned_start(self):
+        # a resume: the first segment starts at N = 3 (mod 6), above the span
+        # from which a walk's range is sieved by a worker
+        start = 123_456_789
+        assert start >= primes.POOL_MIN_SPAN and start % 6 == 3
+        expect = odd_sieve_primes(start + 200_000, start)
+        with sieve_segments(1024), sieve_pool(1):
+            assert stream(start + 200_000, start) == expect
+            assert count_walk_primes(start + 200_000, start=start) == len(expect)
+        assert multiprocessing.active_children() == []
+
+
 class TestEventStream:
     def test_digits_to_20(self):
         events = list(iter_events(20))
@@ -80,7 +145,8 @@ class TestEventStream:
             for e in iter_events(10_000):
                 assert e.digit == e.prime % 10
                 assert e.digit in (1, 3, 7, 9)
-        assert segments.call_count == 20
+        # one segment per 3 * 256 integers from 2 on
+        assert segments.call_count == len(range(2, 10_001, 3 * 256)) == 14
 
     def test_matches_trial_division(self):
         got = [e.prime for e in iter_events(10_000)]
@@ -94,8 +160,8 @@ class TestEventStream:
         with sieve_segments(flags) as segments:
             segmented = [e.prime for e in iter_events(limit)]
         assert default == segmented
-        # one segment per 2 * flags integers from 2 on
-        assert segments.call_count == len(range(2, limit + 1, 2 * flags))
+        # one segment per 3 * flags integers from 2 on
+        assert segments.call_count == len(range(2, limit + 1, 3 * flags))
 
     def test_yielded_arrays_outlive_the_next_segment(self):
         # every segment is sieved into one reused flag buffer; the prime
@@ -132,7 +198,7 @@ class TestCountWalkPrimes:
     def test_small_segments_agree(self):
         with sieve_segments(1 << 12) as segments:
             assert count_walk_primes(10**6) == 78_496
-        assert segments.call_count == 123
+        assert segments.call_count == len(range(2, 10**6 + 1, 3 * 4096)) == 82
 
 
 def pooled_batches(limit, workers, flags):
@@ -148,7 +214,9 @@ class TestSievePool:
     def test_batches_identical_across_widths(self, width, flags):
         alone = pooled_batches(60_000, 0, flags)
         pooled = pooled_batches(60_000, width, flags)
-        assert len(pooled) == len(alone) == len(range(2, 60_001, 2 * flags))
+        # every segment of 3 * 64 integers or more below 6e4 holds two primes
+        # or more (the widest gap is 72), and yields them in two halves
+        assert len(pooled) == len(alone) == 2 * len(range(2, 60_001, 3 * flags))
         assert all(np.array_equal(a, b) for a, b in zip(alone, pooled))
         assert all(a.dtype == b.dtype for a, b in zip(alone, pooled))
         assert multiprocessing.active_children() == []
@@ -162,16 +230,21 @@ class TestSievePool:
         assert multiprocessing.active_children() == []
 
     def test_empty_segments_are_skipped(self):
-        # with 8 odd numbers a segment, [1330, 1346) and [1954, 1970) hold no prime
-        alone, pooled = pooled_batches(2000, 0, 8), pooled_batches(2000, 1, 8)
-        assert len(pooled) == len(alone) == len(range(2, 2001, 16)) - 2
+        # with 4 flags a segment spans 12 integers: ten below 2000, such as
+        # [890, 902) and [1334, 1346), hold no prime and yield no batch; a
+        # segment with one prime yields it whole, and one with more in two halves
+        alone, pooled = pooled_batches(2000, 0, 4), pooled_batches(2000, 1, 4)
+        oracle = walk_primes_oracle(2000)
+        segments = [[p for p in oracle if lo <= p < lo + 12] for lo in range(2, 2001, 12)]
+        assert sum(not s for s in segments) == 10
+        expect = [h for s in segments for h in (s[: len(s) // 2], s[len(s) // 2 :]) if h]
+        assert [b.tolist() for b in pooled] == [b.tolist() for b in alone] == expect
         assert all(len(b) for b in pooled)
-        assert all(np.array_equal(a, b) for a, b in zip(alone, pooled))
-        assert np.concatenate(pooled).tolist() == walk_primes_oracle(2000)
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_segments_in_flight_are_bounded(self, width):
-        # below 2e4 every 128 integers hold a prime, so batch k is segment k
+        # below 2e4 every 192 integers hold two primes or more, so batches
+        # 2s and 2s + 1 are segment s's two halves
         sent, real_send = [], Connection.send
 
         def send(conn, obj):
@@ -182,12 +255,13 @@ class TestSievePool:
         in_flight, kept = [], []
         with sieve_segments(64), sieve_pool(width), mock.patch.object(Connection, "send", send):
             for k, batch in enumerate(iter_walk_prime_arrays(20_000)):
-                # segments 0..k are read; the workers sieve the next ones meanwhile
-                in_flight.append(len(sent) - k - 1)
+                # segments 0..k // 2 are read; the workers sieve the next ones meanwhile
+                in_flight.append(len(sent) - k // 2 - 1)
                 time.sleep(0.0005)
                 kept.append(batch)
-        tasks = len(expect)
-        assert in_flight == [min(width + 1, tasks - k - 1) for k in range(tasks)]
+        tasks = len(expect) // 2
+        assert len(expect) == 2 * tasks == 2 * len(range(2, 20_001, 3 * 64))
+        assert in_flight == [min(width + 1, tasks - k // 2 - 1) for k in range(2 * tasks)]
         # each batch was copied out of its slot before the slot was reused
         assert all(np.array_equal(a, b) for a, b in zip(kept, expect))
         assert [slot for _, _, slot in sent] == [k % (width + 1) for k in range(tasks)]
@@ -277,16 +351,16 @@ class TestSievePoolEnds:
         real = primes._walk_flags
 
         def fails_at(lo, hi, base, buf):
-            if lo == 2 + 5 * 128:
+            if lo == 2 + 5 * 192:
                 raise ValueError("struck out")
             return real(lo, hi, base, buf)
 
         for width in (0, 2):
             with sieve_segments(64), sieve_pool(width), \
                     mock.patch.object(primes, "_walk_flags", fails_at):
-                with pytest.raises(RuntimeError, match=r"sieve segment \[642, 770\).*ValueError: struck out"):
+                with pytest.raises(RuntimeError, match=r"sieve segment \[962, 1154\).*ValueError: struck out"):
                     list(iter_walk_prime_arrays(50_000))
-                with pytest.raises(RuntimeError, match=r"sieve segment \[642, 770\)"):
+                with pytest.raises(RuntimeError, match=r"sieve segment \[962, 1154\)"):
                     count_walk_primes(50_000)
         # a ^C while the calling process sieves is not a failed segment
         with sieve_segments(64), sieve_pool(0), pytest.raises(KeyboardInterrupt), \
@@ -298,13 +372,13 @@ class TestSievePoolEnds:
         real = primes._walk_flags
 
         def exits_at(lo, hi, base, buf):
-            if lo == 2 + 3 * 128:
+            if lo == 2 + 3 * 192:
                 os._exit(3)
             return real(lo, hi, base, buf)
 
         with sieve_segments(64), sieve_pool(1), \
                 mock.patch.object(primes, "_walk_flags", exits_at):
-            with pytest.raises(RuntimeError, match=r"sieve segment \[386, 514\).*worker exited"):
+            with pytest.raises(RuntimeError, match=r"sieve segment \[578, 770\).*worker exited"):
                 list(iter_walk_prime_arrays(50_000))
         assert multiprocessing.active_children() == []
 

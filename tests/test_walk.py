@@ -181,7 +181,8 @@ class TestRunWalk:
             run_walk(5000, A3, [a])
         with sieve_segments(4096) as large:
             run_walk(5000, A3, [b])
-        assert small.call_count == 40 and large.call_count == 1
+        # segments of 3 * 64 and 3 * 4096 integers
+        assert small.call_count == 27 and large.call_count == 1
         assert a.path == b.path
 
     def test_sessions_fed_alternately_match_runs_alone(self):
@@ -251,13 +252,16 @@ class TestBatchEntryPoints:
     spy or rebinding in the main process sees it."""
 
     @pytest.mark.parametrize("resume_at", [0, 2000])
-    def test_prime_walk_feeds_once_per_segment(self, resume_at):
+    def test_prime_walk_feeds_once_per_batch(self, resume_at):
+        # a batch is half a segment, or a whole one that holds one prime
         state = run_walk(resume_at, A1)
         feed = WalkSession.feed
         with sieve_segments(64) as segments, \
                 mock.patch.object(WalkSession, "feed", autospec=True, side_effect=feed) as spy:
             run_walk(5000, A1, state=state)
-        assert spy.call_count == segments.call_count > 1
+        with sieve_segments(64):
+            batches = len(list(iter_walk_prime_arrays(5000, start=state.last_n + 1)))
+        assert spy.call_count == batches > segments.call_count > 1
 
     @pytest.mark.parametrize("resume_at", [0, 500])
     def test_random_walk_draws_once_per_batch_and_never_feeds(self, resume_at):
