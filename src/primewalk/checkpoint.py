@@ -1,26 +1,25 @@
 """Binary checkpoint files: a header of magic "PWLK", version, 32-byte
-config hash, payload length and CRC32 of the payload, then the payload, an
-npz archive of "section/field" arrays, up to the end of the file.  The
-header's size and CRC checks, and the size each array header declares,
-pass before the payload is loaded.  The payload streams through the file
-in both directions: a write holds one chunk of a `ChunkedArray` at a
-time, and a read holds no second copy of the arrays it loads: each is an
-array that owns its memory, which a reader may adopt."""
+config hash, payload length and CRC32 of the payload, then the payload to
+the end of the file: each "section/field", in name order, as a `<I` header
+length, a JSON header of its name, dtype (as `dtype.str`) and shape, and
+its raw C-order bytes.  Each byte passes once, through the CRC, each way: a
+write streams a `ChunkedArray` chunk by chunk and reads nothing back; a
+read checks a field's header against the bytes still unread, then fills a
+new array in place, which owns its memory so that a reader may adopt it."""
 
+import json
 import math
 import os
 import struct
-import zipfile
 import zlib
 from pathlib import Path
 
 import numpy as np
-from numpy.lib import format as npy
 
 MAGIC = b"PWLK"
-VERSION = 6
+VERSION = 7
 _HEAD = struct.Struct("<4sI32sQI")
-_CHUNK = 1 << 16  # bytes per read of the CRC pass
+_FIELD_MAX = 1 << 12  # bytes of the longest JSON header a read accepts
 
 
 class CheckpointError(Exception):
@@ -28,13 +27,10 @@ class CheckpointError(Exception):
 
 
 class ChunkedArray:
-    """An array that is written piece by piece, never whole.
-
-    `chunks()` yields C-ordered arrays whose contents, one after another,
-    are the array's; `write_checkpoint` streams them into the file.  A
-    chunk is valid only until the next one is requested, as its memory may
-    be reused.  `np.asarray` joins them into one array, for use in memory.
-    """
+    """An array that is written piece by piece, never whole: `chunks()`
+    yields C-ordered arrays whose contents, one after another, are the
+    array's, each valid only until the next is requested, as its memory may
+    be reused.  `np.asarray` joins them into one array, for use in memory."""
 
     def __init__(self, shape: tuple, dtype, chunks):
         self.shape, self.dtype, self.chunks = tuple(shape), np.dtype(dtype), chunks
@@ -50,19 +46,6 @@ class ChunkedArray:
         return out if dtype is None else out.astype(dtype)
 
 
-def _crc(fh, length: int) -> int:
-    """CRC32 of the `length` payload bytes, read in chunks into one buffer."""
-    fh.seek(_HEAD.size)
-    crc, buf = 0, memoryview(bytearray(min(_CHUNK, length)))
-    while length > 0:
-        got = fh.readinto(buf[: min(_CHUNK, length)])
-        if not got:
-            break
-        crc = zlib.crc32(buf[:got], crc)
-        length -= got
-    return crc
-
-
 def _encode(name: str, v) -> np.ndarray:
     # bytes travel as a 0-d void array, as "S" drops trailing NULs; so refuse void arrays
     if isinstance(v, bytes):
@@ -74,50 +57,22 @@ def _encode(name: str, v) -> np.ndarray:
 
 
 def _decode(a: np.ndarray):
-    if a.dtype.kind == "V":
-        return a.tobytes()
-    if a.ndim == 0:
-        return a.item()
-    # np.load may return a reshaped view of the flat array it read into: hand
-    # out that array itself, in place in the shape, which a reader can adopt
-    owner = a.base
-    if (
-        isinstance(owner, np.ndarray) and owner.flags.owndata and a.flags.c_contiguous
-        and (owner.dtype, owner.size) == (a.dtype, a.size)
-    ):
-        owner.resize(a.shape)  # the same bytes: nothing is copied or moved
-        return owner
-    return a
+    return a.tobytes() if a.dtype.kind == "V" else a if a.ndim else a.item()
 
 
-def _write_npz(fh, arrays: dict) -> None:
-    """The bytes np.savez(fh, **arrays) writes: each array's header, then its
-    C-order bytes chunk by chunk; an array that is not a ChunkedArray is one chunk."""
-    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as npz:
-        for name, a in arrays.items():
-            with npz.open(f"{name}.npy", "w", force_zip64=True) as member:
-                descr = npy.dtype_to_descr(a.dtype)
-                npy.write_array_header_1_0(
-                    member, {"descr": descr, "fortran_order": False, "shape": a.shape}
-                )
-                size = 0
-                for chunk in a.chunks() if isinstance(a, ChunkedArray) else (a,):
-                    size += member.write(np.ascontiguousarray(chunk, a.dtype))
-                if size != a.dtype.itemsize * math.prod(a.shape):
-                    raise ValueError(f"{name}: chunks hold {size} bytes, not the shape's")
-
-
-def _check_sizes(npz: zipfile.ZipFile) -> None:
-    """Refuse a member whose array header declares other than the bytes it
-    holds, before np.load allocates what the header declares."""
-    for info in npz.infolist():
-        with npz.open(info) as member:
-            if npy.read_magic(member) != (1, 0):
-                raise ValueError(f"{info.filename}: not a version 1.0 array")
-            shape, _, dtype = npy.read_array_header_1_0(member)
-            held = info.file_size - member.tell()
-            if dtype.itemsize * math.prod(shape) != held:
-                raise ValueError(f"{info.filename}: {dtype} {shape} declared in {held} bytes")
+def _field_parts(name: str, a):
+    """Field `name`'s header length and JSON header, then its C-order bytes
+    chunk by chunk; an array that is not a ChunkedArray is one chunk."""
+    shape = list(a.shape)
+    header = json.dumps({"name": name, "dtype": a.dtype.str, "shape": shape}).encode()
+    yield struct.pack("<I", len(header)) + header
+    size = 0
+    for chunk in a.chunks() if isinstance(a, ChunkedArray) else (a,):
+        data = np.ascontiguousarray(chunk, a.dtype).reshape(-1).view(np.uint8)
+        size += data.size
+        yield data
+    if size != a.dtype.itemsize * math.prod(shape):
+        raise ValueError(f"{name}: chunks hold {size} bytes, not the shape's")
 
 
 def write_checkpoint(path, config_hash: bytes, sections: dict) -> None:
@@ -129,11 +84,13 @@ def write_checkpoint(path, config_hash: bytes, sections: dict) -> None:
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w+b") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(_HEAD.pack(MAGIC, VERSION, config_hash, 0, 0))
-            _write_npz(fh, {n: _encode(n, flat[n]) for n in sorted(flat)})
-            length = fh.seek(0, os.SEEK_END) - _HEAD.size
-            crc = _crc(fh, length)
+            length = crc = 0
+            for name in sorted(flat):
+                for part in _field_parts(name, _encode(name, flat[name])):
+                    crc = zlib.crc32(part, crc)
+                    length += fh.write(part)
             fh.seek(0)
             fh.write(_HEAD.pack(MAGIC, VERSION, config_hash, length, crc))
             fh.flush()
@@ -155,16 +112,39 @@ def read_checkpoint(path) -> tuple[bytes, dict]:
             raise CheckpointError(f"unsupported checkpoint version {version}")
         if os.fstat(fh.fileno()).st_size != _HEAD.size + length:
             raise CheckpointError("checkpoint size does not match its payload length")
-        if _crc(fh, length) != crc:
-            raise CheckpointError("checkpoint integrity check failed")
-        fh.seek(_HEAD.size)
-        sections: dict[str, dict] = {}
+        left, read_crc, sections = length, 0, {}
+
+        def take(shape: tuple, dtype=np.uint8) -> np.ndarray:
+            """A new array of `shape` and `dtype`, filled from the next payload bytes."""
+            nonlocal left, read_crc
+            if np.dtype(dtype).itemsize * math.prod(shape) > left:
+                raise ValueError(f"{np.dtype(dtype)} {list(shape)} runs past the payload's end")
+            buf = (a := np.empty(shape, dtype)).reshape(-1).view(np.uint8)
+            got = fh.readinto(buf)
+            read_crc, left = zlib.crc32(buf, read_crc), left - got
+            if got != len(buf):  # the file shrank after its size was checked
+                raise CheckpointError("checkpoint size does not match its payload length")
+            return a
+
         try:
-            with np.load(fh, allow_pickle=False) as npz:
-                _check_sizes(npz.zip)
-                for name in npz.files:
-                    section, key = name.split("/")
-                    sections.setdefault(section, {})[key] = _decode(npz[name])
-        except (zipfile.BadZipFile, ValueError, TypeError, EOFError) as exc:
-            raise CheckpointError(f"undecodable checkpoint payload: {exc}") from exc
+            while left:
+                n = int(take((), "<u4"))
+                if n > _FIELD_MAX:
+                    raise ValueError(f"a field header of {n} bytes, above {_FIELD_MAX}")
+                h = json.loads(raw := take((n,)).tobytes())
+                name, dtype, shape = h["name"], np.dtype(h["dtype"]), tuple(h["shape"])
+                if not (isinstance(name, str) and name.count("/") == 1 and dtype.str == h["dtype"]
+                        and not dtype.hasobject and all(type(d) is int and d >= 0 for d in shape)):
+                    raise ValueError(f"field header {raw!r} is not a name, plain dtype and shape")
+                section, key = name.split("/")
+                if key in sections.setdefault(section, {}):
+                    raise ValueError(f"field {name} appears twice")
+                sections[section][key] = _decode(take(shape, dtype))
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
+            while left:  # the CRC covers the whole payload, parsed or not
+                take((min(1 << 16, left),))
+            if read_crc == crc:
+                raise CheckpointError(f"undecodable checkpoint payload: {exc}") from exc
+        if read_crc != crc:
+            raise CheckpointError("checkpoint integrity check failed")
     return config_hash, sections

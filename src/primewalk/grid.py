@@ -27,6 +27,7 @@ _CELL_TILES = 16  # tiles per read of the finished map: 64K cells
 _TILE_MASK = np.uint64(0xFFFFFFC0_FFFFFFC0)
 _COUNT_MAX = np.iinfo(np.int32).max
 _VISITS_MAX_CELLS = 50_000_000  # largest map that write_visits_csv dumps
+_VISITS_ROWS = 4096  # rows per string write_visits_csv builds
 
 
 def _narrowest(z_max: int) -> np.dtype:
@@ -435,5 +436,7 @@ def write_visits_csv(vmap: VisitMap, path) -> None:
         fh.write("x,y,z\r\n")
         for keys, counts in vmap._cell_chunks():
             xs, ys = unpack_keys(keys)
-            rows = zip(xs.tolist(), ys.tolist(), counts.tolist())
-            fh.write("".join(f"{x},{y},{z}\r\n" for x, y, z in rows))
+            for a in range(0, len(keys), _VISITS_ROWS):
+                part = slice(a, a + _VISITS_ROWS)
+                rows = zip(xs[part].tolist(), ys[part].tolist(), counts[part].tolist())
+                fh.write("".join(f"{x},{y},{z}\r\n" for x, y, z in rows))

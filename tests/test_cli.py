@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import math
 import multiprocessing
 import os
 import struct
@@ -62,6 +64,70 @@ def _last_plus(column, k):
 def _config_with(blob, **fields):
     """The config JSON `blob` with `fields` set."""
     return json.dumps({**json.loads(blob), **fields}).encode()
+
+
+def _field_spans(blob):
+    """(length, JSON header, data, end) offsets of each field of checkpoint
+    file `blob`, read by the documented payload layout."""
+    spans, o = [], checkpoint._HEAD.size
+    while o < len(blob):
+        (n,) = struct.unpack_from("<I", blob, o)
+        h = json.loads(blob[o + 4 : o + 4 + n])
+        end = o + 4 + n + np.dtype(h["dtype"]).itemsize * math.prod(h["shape"])
+        spans.append((o, o + 4, o + 4 + n, end))
+        o = end
+    return spans
+
+
+def _fields(blob):
+    """(JSON header, data) of each field of checkpoint file `blob`."""
+    return [(blob[j:d], blob[d:e]) for _, j, d, e in _field_spans(blob)]
+
+
+def _with_fields(blob, fields):
+    """Checkpoint file `blob` with its payload made of `fields`, (JSON header,
+    data) pairs, under a length and a CRC that fit them."""
+    payload = b"".join(struct.pack("<I", len(h)) + h + data for h, data in fields)
+    head = checkpoint._HEAD
+    magic, version, config_hash, _, _ = head.unpack_from(blob)
+    return head.pack(magic, version, config_hash, len(payload), zlib.crc32(payload)) + payload
+
+
+def _tiles_header(edit):
+    """A damage to a checkpoint's fields: `edit` applied to the tiles' JSON header."""
+    return lambda fields: [(edit(h) if b'"grid/map_tiles"' in h else h, d) for h, d in fields]
+
+
+def _header_with(header, **fields):
+    """The JSON field header `header` with `fields` set."""
+    return json.dumps({**json.loads(header), **fields}).encode()
+
+
+class _CountedReads:
+    """A file that counts the bytes read through it."""
+
+    def __init__(self, fh):
+        self.fh, self.bytes_read = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def __getattr__(self, name):
+        assert not name.startswith(("read", "peek")), name  # every read is counted
+        return getattr(self.fh, name)
+
+    def read(self, n=-1):
+        data = self.fh.read(n)
+        self.bytes_read += len(data)
+        return data
+
+    def readinto(self, buf):
+        got = self.fh.readinto(buf)
+        self.bytes_read += got
+        return got
 
 
 def read_summary(out_dir):
@@ -482,17 +548,20 @@ class TestResume:
         run_cli("walk", "--limit", "50000", "--out", out)
         ckpt = out / "checkpoint.pwlk"
         good = ckpt.read_bytes()
-        # a flipped payload byte, then an intact file stamped VERSION 1, 2, 3, 4 or 5
-        stamps = [(4, struct.pack("<I", v)) for v in (1, 2, 3, 4, 5)]
-        for at, patch in [(60, bytes([good[60] ^ 0xFF])), *stamps]:
+        # a flipped payload byte, then an intact file stamped VERSION 1 to 6
+        cases = [(60, bytes([good[60] ^ 0xFF]), "checkpoint integrity check failed")]
+        for v in range(1, 7):
+            cases.append((4, struct.pack("<I", v), f"unsupported checkpoint version {v}"))
+        for at, patch, message in cases:
             blob = bytearray(good)
             blob[at : at + len(patch)] = patch
             ckpt.write_bytes(bytes(blob))
+            capsys.readouterr()
             assert (
                 run_cli("resume", ckpt, "--limit", "100000", "--out", tmp_path / "x")
                 == EXIT_CHECKPOINT
             )
-        assert "unsupported checkpoint version 5" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
 
     def test_oversized_array_header_refused(self, tmp_path, capsys):
         # under a valid CRC, the tiles' header declares 4 PiB, more than any
@@ -500,22 +569,78 @@ class TestResume:
         out = tmp_path / "o"
         run_cli("walk", "--limit", "1e5", "--out", out)
         ckpt = out / "checkpoint.pwlk"
-        blob = bytearray(ckpt.read_bytes())
-        at = blob.index(b"'shape': (", blob.index(b"grid/map_tiles.npy"))
-        end = blob.index(b"\n", at)  # the header's padding ends at its newline
-        shape = f"'shape': ({1 << 40}, 4096), }}".encode()
-        assert len(shape) <= end - at
-        blob[at:end] = shape.ljust(end - at)
-        head = checkpoint._HEAD
-        magic, version, config_hash, length, _ = head.unpack_from(blob)
-        crc = zlib.crc32(blob[head.size :])
-        blob[: head.size] = head.pack(magic, version, config_hash, length, crc)
-        ckpt.write_bytes(bytes(blob))
+        blob = ckpt.read_bytes()
+        oversized = _tiles_header(lambda h: _header_with(h, shape=[1 << 40, 4096]))
+        ckpt.write_bytes(_with_fields(blob, oversized(_fields(blob))))
         capsys.readouterr()
         assert (
             run_cli("resume", ckpt, "--limit", "2e5", "--out", tmp_path / "x")
             == EXIT_CHECKPOINT
         )
+        assert "undecodable checkpoint payload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part", ["length", "json", "data", "last-byte"])
+    def test_flipped_byte_fails_the_crc(self, tmp_path, capsys, part):
+        # a damaged length or header is a parse error too: the read finishes
+        # the CRC over the rest of the payload and reports the damage as such
+        out = tmp_path / "o"
+        run_cli("walk", "--limit", "1e5", "--out", out)
+        ckpt = out / "checkpoint.pwlk"
+        blob = bytearray(ckpt.read_bytes())
+        length, header, data, _ = next(
+            s for s in _field_spans(blob) if b'"grid/map_tiles"' in blob[s[1] : s[2]]
+        )
+        at = {"length": length, "json": header + 2, "data": data + 100, "last-byte": -1}[part]
+        blob[at] ^= 0xFF
+        ckpt.write_bytes(bytes(blob))
+        capsys.readouterr()
+        args = ("resume", ckpt, "--limit", "2e5", "--out", tmp_path / "x")
+        assert run_cli(*args) == EXIT_CHECKPOINT
+        assert "checkpoint integrity check failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            _tiles_header(lambda h: b" " * checkpoint._FIELD_MAX + h),
+            _tiles_header(lambda h: h[:-1]),
+            _tiles_header(lambda h: _header_with(h, dtype="|O")),
+            _tiles_header(lambda h: _header_with(h, dtype="u1,")),
+            _tiles_header(lambda h: _header_with(h, dtype=[["a", "|u1"]])),
+            _tiles_header(lambda h: _header_with(h, dtype="(1,)u1")),
+            _tiles_header(lambda h: _header_with(h, shape=[-3, 4096])),
+            _tiles_header(lambda h: _header_with(h, shape=[1.5, 4096])),
+            _tiles_header(lambda h: _header_with(h, shape=[True, 4096])),
+            _tiles_header(lambda h: _header_with(h, name="grid.map_tiles")),
+            _tiles_header(lambda h: _header_with(h, name="grid/map/tiles")),
+            _tiles_header(lambda h: _header_with(h, name=["grid/map_tiles"])),
+            lambda fields: fields[:1] + fields,
+            _tiles_header(lambda h: _header_with(h, shape=[1 << 40, 4096])),
+        ],
+        ids=["header-over-cap", "malformed-json", "object-dtype", "structured-dtype",
+             "structured-dtype-list", "subarray-dtype", "negative-dim", "fractional-dim",
+             "bool-dim", "name-without-slash", "name-with-two-slashes", "name-not-a-string",
+             "name-twice", "4-pib-shape"],
+    )
+    def test_undecodable_field_refused(self, tmp_path, capsys, damage):
+        # under a valid CRC: refused after the CRC pass, with nothing larger
+        # than the file allocated on the way; the open file's buffer and the
+        # objects of the fields read before the damage take under 12 KB more
+        out = tmp_path / "o"
+        run_cli("walk", "--limit", "1e5", "--out", out)
+        ckpt = out / "checkpoint.pwlk"
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes(_with_fields(blob, damage(_fields(blob))))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="undecodable checkpoint payload"):
+                read_checkpoint(ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ckpt.stat().st_size + io.DEFAULT_BUFFER_SIZE + 4096, peak
+        capsys.readouterr()
+        args = ("resume", ckpt, "--limit", "2e5", "--out", tmp_path / "x")
+        assert run_cli(*args) == EXIT_CHECKPOINT
         assert "undecodable checkpoint payload" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -721,8 +846,29 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="size does not match"):
             read_checkpoint(path)
 
+    def test_one_pass_each_way(self, tmp_path, monkeypatch):
+        # a write reads nothing back, and a read takes each byte of the file once
+        files = []
+
+        def counted_open(path, mode="r"):
+            files.append(_CountedReads(open(path, mode)))
+            return files[-1]
+
+        monkeypatch.setattr(checkpoint, "open", counted_open, raising=False)
+        tiles = np.arange(3 * 4096, dtype=np.uint16).reshape(3, 4096)
+        chunked = checkpoint.ChunkedArray(tiles.shape, tiles.dtype, lambda: iter(tiles))
+        sections = {"s": {"v": np.arange(10**5), "b": b"ab\x00", "n": 7}, "t": {"tiles": chunked}}
+        path = tmp_path / "c.pwlk"
+        write_checkpoint(path, b"\x00" * 32, sections)
+        (written,) = files
+        assert written.fh.mode == "wb" and written.bytes_read == 0
+        _, loaded = read_checkpoint(path)
+        assert files[1].bytes_read == path.stat().st_size
+        assert np.array_equal(loaded["t"]["tiles"], tiles) and loaded["t"]["tiles"].flags.owndata
+        assert loaded["s"]["b"] == b"ab\x00" and loaded["s"]["n"] == 7
+
     def test_tiles_stored_one_byte_per_cell(self, tmp_path):
-        # z_max at 1e5 fits a uint8: every other section and the npz framing take under 8 KB
+        # z_max at 1e5 fits a uint8: every other section and the field headers take under 8 KB
         run_cli("walk", "--limit", "1e5", "--out", tmp_path)
         ckpt = tmp_path / "checkpoint.pwlk"
         tiles = len(read_checkpoint(ckpt)[1]["grid"]["map_tile_ids"])
@@ -733,7 +879,7 @@ class TestCheckpointFormat:
         path = tmp_path / "c.pwlk"
         write_checkpoint(path, b"\x00" * 32, {"s": {"v": 1}})
         blob = bytearray(path.read_bytes())
-        assert blob[:4] == b"PWLK" and blob[4:8] == struct.pack("<I", 6)
+        assert blob[:4] == b"PWLK" and blob[4:8] == struct.pack("<I", 7)
         blob[48] ^= 0x01  # the first byte of the payload CRC, after the length
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="integrity check failed"):

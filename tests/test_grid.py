@@ -1,6 +1,7 @@
 import csv
-import io
 import itertools
+import json
+import struct
 import tracemalloc
 import zlib
 from unittest import mock
@@ -241,9 +242,21 @@ def _run_and_polar_sections():
     return {"runs": runs.state(), "polar": polar.state()}
 
 
-def _assert_streamed_equals_savez(path, m, chunk):
+def _eager_payload(arrays):
+    """The checkpoint payload of `arrays` by its documented layout, each
+    array whole: for each field in name order, a <I header length, the JSON
+    header of its name, dtype.str and shape, and its C-order bytes."""
+    out = b""
+    for name in sorted(arrays):
+        a = np.asarray(arrays[name])
+        header = json.dumps({"name": name, "dtype": a.dtype.str, "shape": list(a.shape)})
+        out += struct.pack("<I", len(header)) + header.encode() + a.tobytes()
+    return out
+
+
+def _assert_streamed_equals_eager(path, m, chunk):
     """The checkpoint of map `m`, streamed `chunk` tiles at a time, is the
-    file np.savez writes from the eager copy of its tiles in tile-id order,
+    file the eager encoder writes from the copy of its tiles in tile-id order,
     in the narrowest dtype that holds them; the other sections hold every
     kind of field a checkpoint stores, bytes with a trailing NUL included."""
     sections = {
@@ -258,10 +271,7 @@ def _assert_streamed_equals_savez(path, m, chunk):
     flat["config/json"] = np.array(np.void(flat["config/json"]))  # as "S", NULs would drop
     tiles = m._store.reshape(-1, 64 * 64)[m._slot]
     flat["grid/map_tiles"] = tiles.astype(_narrowest(tiles.max(initial=0)))
-    buf = io.BytesIO()
-    buf.write(bytes(checkpoint._HEAD.size))
-    np.savez(buf, **{k: flat[k] for k in sorted(flat)})
-    payload = buf.getvalue()[checkpoint._HEAD.size :]
+    payload = _eager_payload(flat)
     head = checkpoint._HEAD.pack(
         checkpoint.MAGIC, checkpoint.VERSION, bytes(32), len(payload), zlib.crc32(payload)
     )
@@ -339,10 +349,10 @@ class TestTilePaths:
 
     @given(**GROWN_MAPS)
     @settings(max_examples=100, deadline=None)
-    def test_streamed_checkpoint_equals_savez(self, tmp_path_factory, first, later, mirror, chunk):
+    def test_streamed_checkpoint_equals_eager(self, tmp_path_factory, first, later, mirror, chunk):
         m, _ = _grown_map(first, later, mirror)
         path = tmp_path_factory.mktemp("ckpt") / "checkpoint.pwlk"
-        _assert_streamed_equals_savez(path, m, chunk)
+        _assert_streamed_equals_eager(path, m, chunk)
 
     @pytest.mark.parametrize(
         "z_max, dtype",
@@ -355,7 +365,7 @@ class TestTilePaths:
             m.record_keys(keys)
             oracle.record_keys(keys)
         assert m.state()["tiles"].dtype == dtype
-        loaded = _assert_streamed_equals_savez(tmp_path / "checkpoint.pwlk", m, 1)
+        loaded = _assert_streamed_equals_eager(tmp_path / "checkpoint.pwlk", m, 1)
         restored = VisitMap.from_state({k[4:]: v for k, v in loaded.items()})
         assert restored._store.dtype == dtype
         assert_same_map(restored, oracle)
@@ -401,11 +411,15 @@ class TestTilePaths:
         assert (tmp_path / "visits.csv").read_bytes() == b"x,y,z\r\n"
 
     def test_visits_csv_across_reads(self, tmp_path):
-        # 40 tiles a column: each column of cells is read 25 lx values at a time
+        # 40 tiles a column: each column of cells is read 25 lx values at a
+        # time, and each read is written in pieces of 1, 100 or 4,096 rows
         m = VisitMap()
         m.record_keys(_keys([(x, y) for x in range(-70, 70, 3) for y in range(-1280, 1280, 37)]))
         assert sum(1 for _ in m._cell_chunks()) > len(np.unique(m._ids >> np.uint64(32)))
-        _assert_visits_csv_equals_csv_writer(tmp_path, m)
+        assert max(len(keys) for keys, _ in m._cell_chunks()) > 100
+        for rows in (1, 100, 4096):
+            with mock.patch.object(grid, "_VISITS_ROWS", rows):
+                _assert_visits_csv_equals_csv_writer(tmp_path, m)
 
     def test_state_of_a_changed_map_refused(self):
         m = VisitMap()
